@@ -37,7 +37,7 @@ separately (a resize builds — and on the fused path, fuses — the grown
 shards' engines, a structural one-off cost that would otherwise be
 charged against fusion's per-packet win).  A second scenario drives the same
 resize as a *distributed* two-phase round over a real signaling topology
-(:func:`~repro.coordination.reconfig.register_shard_resize`), committed
+(:func:`~repro.coordination.reconfig.register_table_swap`), committed
 and aborted variants both.
 """
 
@@ -59,7 +59,7 @@ from repro.coordination import (
     ReconfigCoordinator,
     ReconfigParticipant,
     attach_agents,
-    register_shard_resize,
+    register_table_swap,
 )
 from repro.ixp import IxpBoard, ShardPlacement
 from repro.netsim import Topology, flow_hash_of, make_udp_v4
@@ -260,7 +260,7 @@ def run_diurnal(builder):
         if target == max(PHASE_TARGETS) and not aborted_rounds:
             # One aborted round at the peak: quiesce, park a wave, roll
             # back — the trace must come through untouched.
-            actions = datapath.resize_action_set()
+            actions = datapath.swap_action_set()
             assert actions["quiesce"]({"shards": 3})
             fed += datapath.steer_batch(next(waves))
             actions["rollback"]({"shards": 3})
@@ -432,7 +432,7 @@ def test_c16_distributed_resize_round(benchmark):
         agents = attach_agents(topo)
         coordinator = ReconfigCoordinator(agents["n0"])
         participant = ReconfigParticipant(agents["n1"])
-        register_shard_resize(participant, datapath)
+        register_table_swap(participant, datapath, kind="shard-resize")
         peer_votes = {"yes": True}
         peer = ReconfigParticipant(agents["n2"])
         peer.register(

@@ -59,7 +59,7 @@ from repro.coordination import (
     ReconfigCoordinator,
     ReconfigParticipant,
     attach_agents,
-    register_shard_recovery,
+    register_table_swap,
 )
 from repro.netsim import FaultInjector, Topology, batched
 from repro.osbase import (
@@ -218,7 +218,7 @@ def build_scenario():
     agents = attach_agents(topo)
     coordinator = ReconfigCoordinator(agents["n0"])
     participant = ReconfigParticipant(agents["n1"])
-    register_shard_recovery(participant, datapath)
+    register_table_swap(participant, datapath, kind="shard-recovery")
     peer = ReconfigParticipant(agents["n2"])
     # The peer's share of a recovery round: acknowledge the re-steer
     # (a real deployment would update its flow tables here).

@@ -30,10 +30,10 @@ still missing at that engine time, and the abort is itself delivered
 reliably, so prepared participants roll back and resume instead of
 holding their targets quiesced forever.  Every round therefore
 terminates in ``committed`` or ``aborted`` — the invariant the R1 fault
-bench gates on.  :func:`register_shard_recovery` wires the sharded
-datapath's drain-and-re-steer failover
-(:meth:`~repro.osbase.sharding.ShardedDatapath.recovery_action_set`)
-into this protocol.
+bench gates on.  :func:`register_table_swap` wires the sharded
+datapath's table swap — shard recovery and elastic resize alike
+(:meth:`~repro.osbase.sharding.ShardedDatapath.swap_action_set`) — into
+this protocol.
 """
 
 from __future__ import annotations
@@ -252,57 +252,36 @@ class ReconfigParticipant:
         )
 
 
-def register_shard_recovery(
+def register_table_swap(
     participant: ReconfigParticipant,
     datapath: Any,
     *,
-    kind: str = "shard-recovery",
+    kind: str,
 ) -> None:
-    """Bind a sharded datapath's failure-domain recovery to the two-phase
-    protocol.
+    """Bind a sharded datapath's table swap — shard recovery and elastic
+    resize — to the two-phase protocol under round kind *kind*.
 
-    *datapath* is any object exposing ``recovery_action_set()`` (the
+    *datapath* is any object exposing ``swap_action_set()`` (the
     :class:`~repro.osbase.sharding.ShardedDatapath` contract: a mapping
     of ``quiesce``/``apply``/``resume``/``rollback`` callables keyed for
-    :class:`ActionSet`, each taking the round's parameter dict — which
-    must carry ``{"shard": <dead index>}`` and may carry ``{"to":
-    <successor index>}``).  osbase cannot import upward, so the bridge
-    from duck-typed callables to a registered ActionSet lives here, on
-    the coordination side.
+    :class:`ActionSet`, each taking the round's parameter dict —
+    ``{"shards": <target worker count>}`` for a resize, ``{"shard":
+    <dead index>}`` with an optional ``"to": <successor index>`` for a
+    recovery).  osbase cannot import upward, so the bridge from
+    duck-typed callables to a registered ActionSet lives here, on the
+    coordination side.  The established kind names are
+    ``"shard-recovery"`` and ``"shard-resize"``; one datapath may be
+    registered under both.
 
-    A committed round performs quiesce → drain-through-peers → re-steer
-    (`docs/robustness.md` walks the sequence); an aborted round — lost
-    votes, a deadline expiry mid-partition — rolls the quiesce back, and
-    the supervisor's failover stealing keeps the dead shard's backlog
-    draining in the meantime.
+    A committed round performs quiesce → drain → table rewrite (with a
+    pool re-carve when the shard count changes) → flush of the parked
+    frames (`docs/robustness.md` walks the sequence); an aborted round —
+    a refused target, a held buffer failing the exact pool hand-off, a
+    deadline expiry mid-partition — rolls the quiesce back with the
+    fleet untouched and every parked frame returned to its ring, while
+    failover stealing keeps a dead shard's backlog draining.
     """
-    participant.register(kind, ActionSet(**datapath.recovery_action_set()))
-
-
-def register_shard_resize(
-    participant: ReconfigParticipant,
-    datapath: Any,
-    *,
-    kind: str = "shard-resize",
-) -> None:
-    """Bind a sharded datapath's elastic resize to the two-phase
-    protocol.
-
-    *datapath* is any object exposing ``resize_action_set()`` (the
-    :class:`~repro.osbase.sharding.ShardedDatapath` contract: a mapping
-    of ``quiesce``/``apply``/``resume``/``rollback`` callables keyed for
-    :class:`ActionSet`, each taking the round's parameter dict — which
-    must carry ``{"shards": <target worker count>}``).  As with
-    recovery, osbase cannot import upward, so the bridge lives here.
-
-    A committed round performs quiesce-all → drain-before-rehash →
-    pool re-carve → table swap (`docs/concurrency.md` walks the
-    sequence); an aborted round — a refused target, a held buffer
-    failing the exact pool hand-off, a deadline expiry — rolls the
-    quiesce back with the fleet untouched and every parked frame
-    returned to its ring.
-    """
-    participant.register(kind, ActionSet(**datapath.resize_action_set()))
+    participant.register(kind, ActionSet(**datapath.swap_action_set()))
 
 
 def register_capsule_upgrade(

@@ -35,64 +35,52 @@ invariant — acquired == released — holds per shard and in aggregate.
 ``docs/concurrency.md`` walks the whole model; experiment C15
 (``benchmarks/bench_c15_sharding.py``) measures it.
 
-Failure domains and recovery
-----------------------------
+Reconfiguration: one table swap
+-------------------------------
 Each shard is a failure domain: a worker body that crashes (or is
 poisoned by :meth:`ShardedDatapath.inject_worker_crash`) takes only its
 own quantum down — the supervisor's failover stealing keeps the dead
 shard's backlog draining through live peers immediately.  Stealing is a
-stopgap, not recovery: the dead bucket keeps accumulating new arrivals.
-True recovery is the *drain-before-rehash* sequence exposed as a
-quiesce/apply/resume/rollback action set
-(:meth:`ShardedDatapath.recovery_action_set`, bridged to the two-phase
-reconfiguration protocol by
-:func:`repro.coordination.reconfig.register_shard_recovery` — osbase
-never imports upward, so the bridge lives on the coordination side):
+stopgap, not recovery: the dead shard's buckets keep steering new
+arrivals to it.
 
-1. **quiesce** parks new frames for the dead hash bucket (arrival order
-   kept) and picks a live successor;
-2. **apply** drains the dead shard's remaining backlog inline through
-   its *own* engine (per-flow FIFO and pool ownership preserved —
-   exactly the batch hand-off convention), installs the bucket →
-   successor redirect, then flushes the parked frames to the successor
-   in arrival order;
-3. **resume** lifts the parking and records the recovery (with the dead
-   slice's acquired == released pool balance);
-4. **rollback** (an aborted round, or apply raising mid-commit) unparks
-   everything back onto the dead shard's own ring, where failover
-   stealing resumes draining it.
+Steering goes through a bucket → shard indirection table
+(:attr:`RssSteering.table`; the default identity table keeps the
+historical ``hash % N`` behaviour bit-for-bit), so shard recovery and
+elastic resizing are the same operation — a :class:`TableSwap` that
+re-targets table *entries*, never the hash.  One quiesce/apply/resume/
+rollback set runs it (:meth:`ShardedDatapath.swap_action_set`, bridged
+to the two-phase reconfiguration protocol by
+:func:`repro.coordination.reconfig.register_table_swap` — osbase never
+imports upward, so the bridge lives on the coordination side); the
+local drivers :meth:`ShardedDatapath.resize` and
+:meth:`ShardedDatapath.recover_shard` are thin callers of one sequence:
 
-Per-flow disruption is bounded by construction: a flow lives on its
-original shard until the drain completes, then on exactly one successor
-— never a third home, never reordered.  ``docs/robustness.md`` walks the
-failure model; ``benchmarks/bench_r1_faults.py`` gates on it.
-
-Elastic resizing
-----------------
-The worker fleet is resizable at run time through the same two-phase
-quiescence machinery.  Steering goes through a bucket → shard
-indirection table (:attr:`RssSteering.table`; the default identity table
-keeps the historical ``hash % N`` behaviour bit-for-bit), so a resize
-re-targets *table entries*, not the hash: an unaffected bucket keeps its
-home, an affected bucket moves exactly once per resize.  The action set
-(:meth:`ShardedDatapath.resize_action_set`, bridged by
-``register_shard_resize`` on the coordination side; the local driver is
-:meth:`ShardedDatapath.resize`):
-
-1. **quiesce** parks every bucket's arrivals (arrival order kept) and
-   plans the new table — buckets whose target is removed (or dead) are
-   re-homed onto the least-loaded survivors, and on growth the new
-   shards are fed buckets donated by the most-loaded old ones;
-2. **apply** drains *every* ring through its own engine
-   (drain-before-rehash for every flow), proves the exact pool hand-off
-   (acquired == released and nothing in flight on every slice — see
-   :func:`~repro.osbase.buffers.recarve_shard_pools`), re-carves the
-   aggregate budget into the new slice set, builds/retires workers, and
-   only then swaps the table and flushes the parked frames through it;
-3. **resume** records the resize (with the hand-off audit);
+1. **quiesce** plans the swap and parks the affected shards' arrivals
+   (arrival order kept) and de-specialises them.  ``{"shards": n}``
+   plans a table for *n* shards moving as few buckets as possible and
+   parks every shard (the pool re-carve hands the whole budget over);
+   ``{"shard": i}`` maps every bucket of shard *i* to one live
+   successor and parks only shard *i*;
+2. **apply** drains each parked ring through its *own* engine
+   (drain-before-rehash: per-flow FIFO and pool ownership preserved —
+   exactly the batch hand-off convention), re-carves the pools and
+   builds grown shards only when the shard count changes (the exact
+   hand-off — see :func:`~repro.osbase.buffers.recarve_shard_pools`),
+   and only then, past a commit point below which nothing raises,
+   rewrites the table and flushes the parked frames through it;
+3. **resume** records the swap (:attr:`ShardedDatapath.recoveries` or
+   :attr:`ShardedDatapath.resizes`);
 4. **rollback** (an aborted round, or apply failing before the commit
    point — e.g. a buffer still held somewhere) unparks everything back
-   onto the original rings, fleet untouched.
+   onto the original rings, fleet and table untouched.
+
+After a swap settles a shard is compiled if and only if it owns a
+bucket.  Per-flow disruption is bounded by construction: a flow's bucket
+moves at most once per swap, and only after its old home drained — a
+flow never has two homes at once, never reorders.
+``docs/robustness.md`` walks the sequence; ``benchmarks/bench_r1_faults.py``
+(recovery) and ``benchmarks/bench_c16_elastic.py`` (resize) gate it.
 
 Growth needs a *shard_factory* (``index, pool → Shard``) — the builder
 in :mod:`repro.router.pipeline` supplies one.  Cross-shard steals can be
@@ -100,9 +88,9 @@ charged a NUMA-style locality penalty (*locality*, typically
 :meth:`repro.ixp.placement.ShardPlacement.locality_penalty`): the
 supervisor scales its steal watermark by the thief↔victim penalty, so a
 remote steal must be proportionally more profitable before it is
-directed.  ``docs/concurrency.md`` has the walkthrough; experiment C16
-(``benchmarks/bench_c16_elastic.py``) and the property suite
-(``tests/osbase/test_elastic_properties.py``) gate the invariants.
+directed.  ``docs/concurrency.md`` has the walkthrough; the property
+suite (``tests/osbase/test_elastic_properties.py``) gates the
+invariants.
 """
 
 from __future__ import annotations
@@ -110,6 +98,7 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_right
 from collections.abc import Callable
+from dataclasses import dataclass
 from typing import Any
 
 from repro.opencom.errors import OpenComError, ResourceError
@@ -148,8 +137,7 @@ class RssSteering:
     steering the historical ``hash % N`` bit-for-bit.  Elastic
     configurations use more buckets than shards so that a resize can
     re-target individual table entries: an unaffected bucket keeps its
-    home, an affected one moves exactly once (see
-    :meth:`ShardedDatapath.resize_action_set`).
+    home, an affected one moves exactly once (see :class:`TableSwap`).
 
     *reject* names the exception types the hash raises on frames it
     cannot parse (the injected-alongside-the-hash analogue of the NIC's
@@ -449,6 +437,31 @@ class Shard:
         return snapshot
 
 
+@dataclass
+class TableSwap:
+    """One planned bucket-table rewrite: the single reconfiguration
+    primitive behind both shard recovery and elastic resize.
+
+    :meth:`ShardedDatapath.swap_action_set`'s quiesce builds it from the
+    round's parameters, apply executes it, resume records it and
+    rollback undoes it (see the module docstring)."""
+
+    #: ``"recovery"`` or ``"resize"``: the record's shape, and the
+    #: history (``recoveries`` / ``resizes``) resume appends it to.
+    kind: str
+    #: The round parameters the plan was built from (apply must match).
+    params: dict
+    #: The bucket → shard table steering switches to at the commit point.
+    table: list[int]
+    #: Shards whose arrivals are parked and whose rings apply drains.
+    park: list[int]
+    #: Shard count after the swap (pools re-carve only when it changes).
+    shards: int
+    #: The swap's record: seeded by the plan, completed by apply.
+    record: dict
+    committed: bool = False
+
+
 class ShardedDatapath:
     """N forwarding workers plus a rebalancing supervisor over a
     thread-management CF.
@@ -518,27 +531,26 @@ class ShardedDatapath:
                 f"steal_watermark must be >= 1, got {self.steal_watermark}"
             )
         self.name = name
-        #: Hash bucket → live successor bucket, installed by recovery
-        #: (resolved transitively, so cascaded failures chain cleanly).
-        self._redirect: dict[int, int] = {}
-        #: Quiesced bucket → frames parked in arrival order.
+        #: Parked shard → frames steered to it while a swap is quiesced,
+        #: in arrival order.  The ingress closures hold this very dict,
+        #: so it is emptied in place, never rebound.
         self._parked: dict[int, list] = {}
-        #: Dead bucket → in-progress recovery state (successor, record).
-        self._pending_recovery: dict[int, dict] = {}
-        #: Completed drain-and-re-steer recoveries (see docs/robustness.md).
+        #: The in-flight table swap (recovery or resize): one round at a
+        #: time, from quiesce until resume or rollback.
+        self._swap: TableSwap | None = None
+        #: Completed recoveries and resizes (see docs/robustness.md).
         self.recoveries: list[dict] = []
-        #: Optional hook called once per dead worker (fault containment →
-        #: coordination hand-off); typically starts a reconfiguration
-        #: round over the registered recovery action set.
+        self.resizes: list[dict] = []
+        #: Optional hook called for a dead worker that still owns buckets
+        #: while no round is open (fault containment → coordination
+        #: hand-off); typically starts a reconfiguration round over the
+        #: registered swap action set.
         self.recovery_driver: Callable[["ShardedDatapath", int], None] | None = None
+        #: Shards reported to the driver and not yet re-armed (a refused
+        #: or rolled-back recovery re-arms its shard).
         self._recovery_requested: set[int] = set()
         #: Worker indices poisoned to crash at their next quantum.
         self._poison: set[int] = set()
-        #: In-progress elastic resize round (plan at quiesce, record
-        #: after apply) — at most one, mutually exclusive with recovery.
-        self._pending_resize: dict | None = None
-        #: Completed resize records (see docs/concurrency.md).
-        self.resizes: list[dict] = []
         #: Steal directives executed, split by the locality model (every
         #: steal is local when no model is installed).
         self.local_steals = 0
@@ -591,41 +603,23 @@ class ShardedDatapath:
         return self.steering.steer_batch(frames)
 
     def _ingress_for(self, index: int) -> Callable[[Any], bool]:
-        """The steering output for hash bucket *index*.
-
-        Fast path (no fault state anywhere) is a direct NIC receive —
-        the indirection costs two empty-dict truthiness checks per
-        frame, so the C15 hot path is unperturbed.  Under recovery the
-        slow path applies parking and bucket redirects.
-        """
+        """The steering output for shard *index*: a direct NIC receive,
+        unless an in-flight swap parked this shard — then the frame joins
+        its park list (arrival order kept; apply flushes it through the
+        new table).  The fast path costs one empty-dict truthiness check
+        per frame, so the C15 hot path is unperturbed."""
         receive = self.shards[index].nic.receive_frame
+        parked = self._parked
 
         def ingress(frame: Any) -> bool:
-            if self._parked or self._redirect:
-                return self._ingress_slow(index, frame)
+            if parked:
+                held = parked.get(index)
+                if held is not None:
+                    held.append(frame)
+                    return True
             return receive(frame)
 
         return ingress
-
-    def _ingress_slow(self, index: int, frame: Any) -> bool:
-        """Deliver one frame honouring quiesce parking and redirects.
-
-        Walks the redirect chain from the frame's hash bucket; a
-        quiesced bucket anywhere along it parks the frame (arrival order
-        preserved — the apply step flushes the park list in order)."""
-        target = index
-        seen: set[int] = set()
-        while True:
-            parked = self._parked.get(target)
-            if parked is not None:
-                parked.append(frame)
-                return True
-            successor = self._redirect.get(target)
-            if successor is None or successor in seen:
-                break
-            seen.add(target)
-            target = successor
-        return self.shards[target].nic.receive_frame(frame)
 
     # -- fault injection ----------------------------------------------------------
 
@@ -640,215 +634,99 @@ class ShardedDatapath:
             raise ShardingError(f"{self.name}-worker{index} is already dead")
         self._poison.add(index)
 
-    # -- failure-domain recovery ----------------------------------------------------
+    # -- reconfiguration: one table swap for recovery and resize -------------
 
-    def recovery_action_set(self) -> dict[str, Callable[[dict], Any]]:
-        """The drain-and-re-steer recovery as quiesce/apply/resume/
-        rollback callables (each takes the round's parameter dict, which
-        must carry ``{"shard": <dead index>}`` and may carry ``{"to":
-        <successor index>}``).
+    def swap_action_set(self) -> dict[str, Callable[[dict], Any]]:
+        """Shard recovery and elastic resize as one quiesce/apply/resume/
+        rollback set.  Each callable takes the round's parameter dict:
+        ``{"shards": <target count>}`` resizes the fleet, ``{"shard":
+        <index>}`` (optionally with ``"to": <successor index>``) moves
+        every bucket of that shard to one live successor.
 
         Shaped for :class:`repro.coordination.reconfig.ActionSet` —
-        ``register_shard_recovery`` on the coordination side does the
+        ``register_table_swap`` on the coordination side does the
         wrapping, because osbase cannot import upward.  The local
-        no-protocol driver is :meth:`recover_shard`.
+        no-protocol drivers are :meth:`resize` and :meth:`recover_shard`.
         """
         return {
-            "quiesce": self._recovery_quiesce,
-            "apply": self._recovery_apply,
-            "resume": self._recovery_resume,
-            "rollback": self._recovery_rollback,
+            "quiesce": self._swap_quiesce,
+            "apply": self._swap_apply,
+            "resume": lambda params: self._swap_resume(),
+            "rollback": lambda params: self._swap_rollback(),
         }
 
-    def _pick_successor(self, dead: int, to: int | None) -> int | None:
-        if to is not None:
-            valid = (
-                isinstance(to, int)
-                and 0 <= to < len(self.shards)
-                and to != dead
-                and not self._workers[to].done
-                and to not in self._pending_recovery
-            )
-            return to if valid else None
-        live = [
-            i
-            for i in range(len(self.shards))
-            if i != dead
-            and not self._workers[i].done
-            and i not in self._pending_recovery
-            and i not in self._redirect
-        ]
-        if not live:
+    def _plan_swap(self, params: dict) -> TableSwap | None:
+        """The swap *params* ask for, or None when it is refused."""
+        if self._stopping or self._swap is not None:
+            # One round at a time: every swap parks shards and reasons
+            # about a fixed fleet shape.
             return None
-        return min(live, key=lambda i: self.shards[i].backlog_depth)
+        if "shards" in params:
+            return self._plan_resize(params)
+        return self._plan_recovery(params)
 
-    def _recovery_quiesce(self, params: dict) -> bool:
-        """Park the dead bucket's arrivals and pick a successor; False
-        (→ vote no) when the parameters are invalid, the shard is
-        already mid-recovery, or no live successor exists."""
+    def _plan_resize(self, params: dict) -> TableSwap | None:
+        n = params["shards"]
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            return None
+        if n == len(self.shards) or n > len(self.steering.table):
+            # A no-op, or more shards than buckets: each shard needs one
+            # and the bucket count is fixed (flow → bucket never moves).
+            return None
+        if n > len(self.shards) and self.shard_factory is None:
+            return None
+        plan = self._plan_table(n)
+        if plan is None:
+            return None
+        table, moved = plan
+        return TableSwap(
+            kind="resize",
+            params=dict(params),
+            table=table,
+            # The re-carve hands the *whole* budget over, so every ring
+            # must drain: park every shard, not just the moved buckets.
+            park=list(range(len(self.shards))),
+            shards=n,
+            record={
+                "from": len(self.shards),
+                "to": n,
+                "buckets": len(table),
+                "moved_buckets": len(moved),
+            },
+        )
+
+    def _plan_recovery(self, params: dict) -> TableSwap | None:
         dead = params.get("shard")
-        if not isinstance(dead, int) or not 0 <= dead < len(self.shards):
-            return False
-        if dead in self._pending_recovery or dead in self._redirect:
-            return False
-        if self._pending_resize is not None:
-            # Mutually exclusive with an in-flight resize: both rounds
-            # park buckets and reason about a fixed fleet shape.
-            return False
+        table = self.steering.table
+        if not isinstance(dead, int) or dead not in table:
+            # No such shard, or it owns no bucket (already recovered):
+            # there is nothing to re-steer.
+            return None
         successor = self._pick_successor(dead, params.get("to"))
         if successor is None:
-            return False
-        self._parked[dead] = []
-        self._pending_recovery[dead] = {"to": successor}
-        # A reconfiguration round is touching this shard's region: tear
-        # down its compiled hot path so the apply-phase drain (and any
-        # failover stealing) runs interpreted.  A committed recovery
-        # leaves the dead shard out of service (and de-specialised);
-        # rollback recompiles it.
-        dead_shard = self.shards[dead]
-        if dead_shard.decompile is not None:
-            dead_shard.decompile()
-        # Failover stealing keeps draining the dead backlog through the
-        # prepare window — recovery replaces it, it does not pause it.
-        return True
+            return None
+        return TableSwap(
+            kind="recovery",
+            params=dict(params),
+            table=[successor if target == dead else target for target in table],
+            park=[dead],
+            shards=len(self.shards),
+            record={"shard": dead, "to": successor},
+        )
 
-    def _recovery_apply(self, params: dict) -> None:
-        """Drain-before-rehash: empty the dead shard's backlog through
-        its *own* engine, install the redirect, flush the parked frames
-        to the successor in arrival order."""
-        dead = params["shard"]
-        pending = self._pending_recovery.get(dead)
-        if pending is None:
-            raise ShardingError(f"recovery apply without quiesce (shard {dead})")
-        shard = self.shards[dead]
-        drained = 0
-        while True:
-            batch = shard.take_batch(self.batch)
-            if not batch:
-                break
-            # Inline hand-off: nothing steps the thread manager while an
-            # action set runs, so this is atomic wrt the workers — the
-            # same ownership convention as batch stealing.
-            shard.process(batch)
-            drained += len(batch)
-        successor = pending["to"]
-        self._redirect[dead] = successor
-        parked = self._parked.pop(dead, [])
-        successor_receive = self.shards[successor].nic.receive_frame
-        flushed = refused = 0
-        for frame in parked:
-            if successor_receive(frame):
-                flushed += 1
-            else:
-                # Ring overflow / pool backpressure at the successor:
-                # the frame was never materialised into a pooled buffer,
-                # so refusing it here cannot leak (same as any NIC drop).
-                refused += 1
-        pool = shard.pool
-        pending["record"] = {
-            "shard": dead,
-            "to": successor,
-            "drained": drained,
-            "parked_flushed": flushed,
-            "parked_refused": refused,
-            "pool_acquired": pool.acquired_total if pool is not None else None,
-            "pool_released": pool.released_total if pool is not None else None,
-            "pool_in_flight": pool.in_flight if pool is not None else None,
-            "pool_balanced": (
-                pool.acquired_total == pool.released_total
-                and pool.in_flight == 0
-                if pool is not None
-                else True
-            ),
-            "virtual_time": self.threads.clock.now,
-        }
+    def _pick_successor(self, dead: int, to: Any) -> int | None:
+        """A live shard other than *dead* that owns at least one bucket:
+        *to* when given and eligible, else the least backlogged."""
+        owners = set(self.steering.table)
 
-    def _recovery_resume(self, params: dict) -> None:
-        """Commit-side resume: lift the parking and record the recovery.
-        A no-op on the abort path (rollback already cleaned up)."""
-        dead = params["shard"]
-        pending = self._pending_recovery.pop(dead, None)
-        if pending is None:
-            return
-        record = pending.get("record")
-        if record is not None:
-            self.recoveries.append(record)
-        # Defensive: anything still parked (apply short-circuited without
-        # raising) follows the redirect chain rather than vanishing.
-        leftovers = self._parked.pop(dead, None)
-        if leftovers:
-            for frame in leftovers:
-                self._ingress_slow(dead, frame)
+        def eligible(index: int) -> bool:
+            return index != dead and not self._workers[index].done and index in owners
 
-    def _recovery_rollback(self, params: dict) -> None:
-        """Abort-side undo: unpark everything back onto the dead shard's
-        own ring (failover stealing resumes draining it) and remove any
-        redirect a failed apply installed."""
-        dead = params["shard"]
-        pending = self._pending_recovery.pop(dead, None)
-        if pending is None:
-            return
-        if self._redirect.get(dead) == pending["to"]:
-            del self._redirect[dead]
-        parked = self._parked.pop(dead, [])
-        dead_shard = self.shards[dead]
-        receive = dead_shard.nic.receive_frame
-        for frame in parked:
-            receive(frame)
-        # The shard stays in service after an aborted recovery: rebuild
-        # its compiled hot path (quiesce tore it down).
-        if dead_shard.recompile is not None:
-            dead_shard.recompile()
-        # Let the supervisor's recovery driver try again later.
-        self._recovery_requested.discard(dead)
-
-    def recover_shard(self, index: int, *, to: int | None = None) -> dict:
-        """Run the whole recovery locally (no coordination protocol):
-        quiesce → apply → resume, rolling back if apply raises.  Returns
-        the recovery record.  The networked path is
-        ``register_shard_recovery`` + a reconfiguration round."""
-        params: dict[str, Any] = {"shard": index}
         if to is not None:
-            params["to"] = to
-        actions = self.recovery_action_set()
-        if not actions["quiesce"](params):
-            raise ShardingError(
-                f"shard {index} recovery refused (bad index, already "
-                f"recovering, or no live successor)"
-            )
-        try:
-            actions["apply"](params)
-        except Exception:
-            actions["rollback"](params)
-            actions["resume"](params)
-            raise
-        actions["resume"](params)
-        return self.recoveries[-1]
-
-    def parked_count(self) -> int:
-        """Frames parked by in-progress recovery/resize rounds (not on
-        any RX ring, so not in :meth:`total_backlog` — they drain at
-        commit/abort)."""
-        return sum(len(frames) for frames in self._parked.values())
-
-    # -- elastic resizing -----------------------------------------------------------
-
-    def resize_action_set(self) -> dict[str, Callable[[dict], Any]]:
-        """The elastic resize as quiesce/apply/resume/rollback callables
-        (each takes the round's parameter dict, which must carry
-        ``{"shards": <target count>}``).
-
-        Shaped for :class:`repro.coordination.reconfig.ActionSet` —
-        ``register_shard_resize`` on the coordination side does the
-        wrapping, because osbase cannot import upward.  The local
-        no-protocol driver is :meth:`resize`.
-        """
-        return {
-            "quiesce": self._resize_quiesce,
-            "apply": self._resize_apply,
-            "resume": self._resize_resume,
-            "rollback": self._resize_rollback,
-        }
+            valid = isinstance(to, int) and 0 <= to < len(self.shards) and eligible(to)
+            return to if valid else None
+        live = [index for index in range(len(self.shards)) if eligible(index)]
+        return min(live, key=lambda i: self.shards[i].backlog_depth, default=None)
 
     def _plan_table(self, n: int) -> tuple[list[int], list[int]] | None:
         """A new bucket table for a fleet of *n* shards, moving as few
@@ -910,148 +788,142 @@ class ShardedDatapath:
             moved_set.add(bucket)
         return table, moved
 
-    def _decompile_all(self) -> None:
-        """Tear down every shard's compiled hot path (shards without the
-        hook — plain engines, test doubles — are untouched)."""
-        for shard in self.shards:
-            if shard.decompile is not None:
-                shard.decompile()
-
-    def decompile_all(self) -> None:
-        """De-specialise the whole fleet (public counterpart of the
-        round-internal hook): every shard's compiled chain is torn down
-        so a reconfiguration that mutates vtables runs interpreted.  The
-        adaptation stratum calls this before any hot swap it actuates —
-        its rule engine refuses the swap otherwise."""
-        self._decompile_all()
-
-    def recompile_all(self) -> None:
-        """Rebuild every shard's compiled hot path (idempotent; shards
-        without the hook are untouched)."""
-        self._recompile_all()
-
-    def compiled_shards(self) -> list[int]:
-        """Indices of shards whose engine currently dispatches through a
-        live compiled chain — the regions a vtable mutation must not
-        touch until :meth:`decompile_all` has run."""
-        return [
-            index
-            for index, shard in enumerate(self.shards)
-            if getattr(shard.engine, "compiled_active", False)
-        ]
-
-    def _recompile_all(self) -> None:
-        """Rebuild every shard's compiled hot path after a round settles
-        (grown shards arrive compiled from the factory; recompiling is
-        idempotent)."""
-        for shard in self.shards:
-            if shard.recompile is not None:
-                shard.recompile()
-
-    def _resize_quiesce(self, params: dict) -> bool:
-        """Park every bucket's arrivals and plan the new table; False
-        (→ vote no) when the target is invalid, another round is in
-        flight, growth lacks a shard factory, or no live home exists."""
-        n = params.get("shards")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    def _swap_quiesce(self, params: dict) -> bool:
+        """Plan the swap, then park the affected shards' arrivals and
+        de-specialise them (the round is about to touch their regions,
+        so the whole window runs interpreted).  False (→ vote no) when
+        the plan is refused."""
+        swap = self._plan_swap(params)
+        if swap is None:
+            # A recovery the supervisor reported was refused (typically
+            # another round held the slot): re-arm the report so the
+            # dead shard is retried once no round is open.
+            dead = params.get("shard")
+            if isinstance(dead, int):
+                self._recovery_requested.discard(dead)
             return False
-        if n == len(self.shards):
-            return False
-        if n > len(self.steering.table):
-            # Each shard needs at least one bucket; the bucket count is
-            # fixed at construction (flow → bucket never moves).
-            return False
-        if self._stopping or self._pending_resize is not None:
-            return False
-        if self._pending_recovery:
-            # Mutually exclusive with an in-flight recovery round.
-            return False
-        if n > len(self.shards) and self.shard_factory is None:
-            return False
-        plan = self._plan_table(n)
-        if plan is None:
-            return False
-        table, moved = plan
-        # The re-carve hands the *whole* budget over, so every ring must
-        # drain: park every shard, not just the affected buckets.
-        for index in range(len(self.shards)):
+        self._swap = swap
+        for index in swap.park:
             self._parked[index] = []
-        self._pending_resize = {
-            "target": n,
-            "from": len(self.shards),
-            "old_table": list(self.steering.table),
-            "new_table": table,
-            "moved_buckets": moved,
-            "phase": "quiesced",
-        }
-        # The round is about to touch every shard's region (drain, pool
-        # re-bind, table swap): de-specialise the fleet so the whole
-        # window runs interpreted; commit and rollback both rebuild.
-        self._decompile_all()
+            decompile = self.shards[index].decompile
+            if decompile is not None:
+                decompile()
+        # Failover stealing keeps draining a dead shard's backlog through
+        # the prepare window — the swap replaces it, it does not pause it.
         return True
 
-    def _resize_apply(self, params: dict) -> None:
-        """Drain-before-rehash for the whole fleet, the exact pool
-        hand-off, then the commit: rebuild the fleet and swap the table.
+    def _swap_apply(self, params: dict) -> None:
+        """Drain the parked shards, re-carve on a count change, then the
+        commit: rewrite the table and flush the parked frames through it.
 
-        Everything that can fail (draining, the hand-off audit, the
+        Everything that can fail (draining, the pool hand-off audit, the
         shard factory) runs *before* the commit point, so rollback
         always sees an untouched fleet.
         """
-        pending = self._pending_resize
-        if pending is None or pending["target"] != params.get("shards"):
-            raise ShardingError(
-                f"resize apply without matching quiesce "
-                f"(target {params.get('shards')!r})"
-            )
-        n = pending["target"]
-        old_n = len(self.shards)
-        # 1. Drain every ring through its own engine: in-flight frames
-        #    egress from their pre-resize home, so the table swap can
-        #    never reorder a flow (and the pool books can balance).
-        drained = [0] * old_n
-        for index, shard in enumerate(self.shards):
-            while True:
-                batch = shard.take_batch(self.batch)
-                if not batch:
-                    break
-                # Inline hand-off: nothing steps the thread manager while
-                # an action set runs, so this is atomic wrt the workers.
-                shard.process(batch)
-                drained[index] += len(batch)
-        # 2. The exact hand-off: re-carving the aggregate budget is only
-        #    sound when no slice has a buffer in flight anywhere.
-        pools = [shard.pool for shard in self.shards]
-        pooled = all(pool is not None for pool in pools)
+        swap = self._swap
+        if swap is None or swap.params != params:
+            raise ShardingError(f"table swap apply without quiesce ({params!r})")
+        # 1. Drain-before-rehash: each parked ring empties through its
+        #    own engine, so in-flight frames egress from their old home
+        #    and the new table can never reorder a flow.
+        drained = [self._drain(self.shards[index]) for index in swap.park]
+        # 2. Only a count change re-carves the aggregate budget — sound
+        #    only when no slice has a buffer in flight anywhere — and
+        #    builds the grown shards, before anything is mutated.
+        old_n, n = len(self.shards), swap.shards
+        new_pools: list | None = None
         handoff = None
-        if pooled:
-            try:
-                new_pools, handoff = recarve_shard_pools(pools, n)
-            except ResourceError as exc:
-                raise ShardingError(f"resize to {n} shards aborted: {exc}") from exc
-        else:
-            new_pools = [None] * n
-        # 3. Build the grown shards before mutating anything: a factory
-        #    failure aborts the round with the fleet untouched.
-        grown = [
-            self.shard_factory(index, new_pools[index])
-            for index in range(old_n, n)
-        ]
+        grown: list[Shard] = []
+        if n != old_n:
+            pools = [shard.pool for shard in self.shards]
+            if all(pool is not None for pool in pools):
+                try:
+                    new_pools, handoff = recarve_shard_pools(pools, n)
+                except ResourceError as exc:
+                    raise ShardingError(f"resize to {n} shards aborted: {exc}") from exc
+            grown = [
+                self.shard_factory(index, new_pools[index] if new_pools else None)
+                for index in range(old_n, n)
+            ]
         # ---- commit point: nothing below raises ----
-        pending["phase"] = "committed"
-        if n < old_n:
-            for index in range(n, old_n):
-                self._retire_flags[index][0] = True
-            del self.shards[n:]
-            del self._workers[n:]
-            del self._retire_flags[n:]
-            del self._help[n:]
-        for index, shard in enumerate(self.shards):
-            if pooled:
-                shard.pool = new_pools[index]
+        swap.committed = True
+        if n != old_n:
+            self._reshape_fleet(n, new_pools, grown)
+        self.steering.reshape([self._ingress_for(i) for i in range(n)], swap.table)
+        # A shard that owns no bucket any more has nothing left to recover.
+        self._recovery_requested.intersection_update(swap.table)
+        # 3. Flush the parked frames through the *new* table, per former
+        #    home in arrival order — each flow's parked frames live in
+        #    exactly one park list, so they land contiguously and in
+        #    order on their (single) new home.
+        flushed = refused = 0
+        for _, frames in sorted(self._parked.items()):
+            for frame in frames:
+                receive = self.shards[self.steering.shard_of(frame)].nic.receive_frame
+                try:
+                    accepted = receive(frame)
+                except ResourceError:
+                    # A raise-policy pool exhausting mid-flush must not
+                    # abort a committed swap half way: the frame was
+                    # never materialised into a pooled buffer, so
+                    # refusing it here cannot leak (same as any NIC drop).
+                    accepted = False
+                if accepted:
+                    flushed += 1
+                else:
+                    refused += 1
+        self._parked.clear()
+        record = swap.record
+        if swap.kind == "resize":
+            record.update(drained=drained, drained_total=sum(drained), pool_handoff=handoff)
+        else:
+            pool = self.shards[swap.park[0]].pool
+            record.update(
+                drained=drained[0],
+                pool_acquired=pool.acquired_total if pool is not None else None,
+                pool_released=pool.released_total if pool is not None else None,
+                pool_in_flight=pool.in_flight if pool is not None else None,
+                pool_balanced=(
+                    pool is None
+                    or (pool.acquired_total == pool.released_total and pool.in_flight == 0)
+                ),
+            )
+        record.update(
+            parked_flushed=flushed,
+            parked_refused=refused,
+            virtual_time=self.threads.clock.now,
+        )
+        # 4. Re-specialise the parked shards that still own a bucket
+        #    (grown shards came compiled from the factory).
+        self._respecialise(swap.park)
+
+    def _drain(self, shard: Shard) -> int:
+        """Run *shard*'s whole backlog through its own engine inline;
+        returns frames drained.  Nothing steps the thread manager while
+        this runs, so it is atomic wrt the workers — the same ownership
+        convention as batch stealing."""
+        drained = 0
+        while batch := shard.take_batch(self.batch):
+            shard.process(batch)
+            drained += len(batch)
+        return drained
+
+    def _reshape_fleet(self, n: int, pools: list | None, grown: list[Shard]) -> None:
+        """Commit-side fleet change: retire the shards past *n*, rebind
+        the survivors to their re-carved slices (*pools* is None for an
+        unpooled fleet) and spawn a worker per grown shard."""
+        for index in range(n, len(self.shards)):
+            self._retire_flags[index][0] = True
+        del self.shards[n:]
+        del self._workers[n:]
+        del self._retire_flags[n:]
+        del self._help[n:]
+        if pools is not None:
+            for index, shard in enumerate(self.shards):
+                shard.pool = pools[index]
                 bind = getattr(shard.nic, "bind_pool", None)
                 if bind is not None:
-                    bind(new_pools[index])
+                    bind(pools[index])
         for shard in grown:
             index = len(self.shards)
             self.shards.append(shard)
@@ -1066,120 +938,111 @@ class ShardedDatapath:
         # Stale steal directives must not point past the new fleet.
         for index in range(len(self._help)):
             self._help[index] = None
-        # A standing redirect is compiled away by the swap: every bucket
-        # it re-homed now has a direct live target in the new table.
-        self._redirect.clear()
-        self._recovery_requested = {
-            index for index in self._recovery_requested if index < n
-        }
-        self.steering.reshape(
-            [self._ingress_for(i) for i in range(n)], pending["new_table"]
-        )
         self.cores = len(self.shards) + (1 if self.supervised else 0)
-        # 4. Flush the parked frames through the *new* table, per former
-        #    home in arrival order — each flow's parked frames live in
-        #    exactly one park list, so they land contiguously and in
-        #    order on their (single) new home.
-        flushed = refused = 0
-        for _, frames in sorted(self._parked.items()):
-            for frame in frames:
-                target = self.steering.table[self.steering.bucket_of(frame)]
-                try:
-                    accepted = self.shards[target].nic.receive_frame(frame)
-                except ResourceError:
-                    # A raise-policy pool exhausting mid-flush must not
-                    # abort a committed resize half way: the frame was
-                    # never materialised into a pooled buffer, so
-                    # refusing it here cannot leak (same as any NIC drop).
-                    accepted = False
-                if accepted:
-                    flushed += 1
-                else:
-                    refused += 1
-        self._parked.clear()
-        pending["record"] = {
-            "from": old_n,
-            "to": n,
-            "buckets": len(self.steering.table),
-            "moved_buckets": len(pending["moved_buckets"]),
-            "drained": drained,
-            "drained_total": sum(drained),
-            "parked_flushed": flushed,
-            "parked_refused": refused,
-            "pool_handoff": handoff,
-            "virtual_time": self.threads.clock.now,
-        }
-        # 5. The fleet has its final shape: rebuild the compiled hot
-        #    paths (retired shards are gone, grown shards came compiled
-        #    from the factory, survivors re-specialise here).
-        self._recompile_all()
 
-    def _resize_resume(self, params: dict) -> None:
-        """Commit-side resume: record the resize.  A no-op on the abort
-        path (rollback already cleaned up)."""
-        pending = self._pending_resize
-        if pending is None:
-            return
-        self._pending_resize = None
-        record = pending.get("record")
-        if record is not None:
-            self.resizes.append(record)
-        # Defensive: resume without apply (protocol misuse) must not
-        # strand parked frames — back onto their own rings they go —
-        # nor leave the fleet de-specialised (quiesce tore the compiled
-        # paths down; apply never ran to rebuild them).
-        self._unpark_all()
-        if record is None:
-            self._recompile_all()
+    def _respecialise(self, indices: list[int]) -> None:
+        """Rebuild the compiled hot path of each shard in *indices* that
+        owns a bucket; a shard with none stays interpreted."""
+        owners = set(self.steering.table)
+        for index in indices:
+            if index in owners and self.shards[index].recompile is not None:
+                self.shards[index].recompile()
 
-    def _resize_rollback(self, params: dict) -> None:
-        """Abort-side undo: unpark everything back onto the original
-        rings.  Apply mutates nothing before its commit point, so the
-        fleet, pools and table are untouched."""
-        pending = self._pending_resize
-        if pending is None:
+    def _swap_resume(self) -> None:
+        """Commit-side resume: record the swap.  Resume without a
+        committed apply (protocol misuse) undoes the quiesce instead, so
+        parked frames are never stranded; a no-op on the abort path
+        (rollback already cleaned up)."""
+        swap = self._swap
+        if swap is None or not swap.committed:
+            self._swap_rollback()
             return
-        self._pending_resize = None
-        if pending.get("phase") == "committed":
-            # Apply completed (the commit region cannot raise); there is
-            # nothing to undo and the parked lists are already flushed.
-            return
-        self._unpark_all()
-        # The fleet keeps its old shape: re-specialise it (quiesce tore
-        # the compiled paths down for the aborted round).
-        self._recompile_all()
+        self._swap = None
+        history = self.resizes if swap.kind == "resize" else self.recoveries
+        history.append(swap.record)
 
-    def _unpark_all(self) -> None:
-        """Return every parked frame to its own shard's ring, in order."""
+    def _swap_rollback(self) -> None:
+        """Abort-side undo: every parked frame returns to its own shard's
+        ring in arrival order (failover stealing drains a dead one) and
+        the parked shards re-specialise.  Apply mutates nothing before
+        its commit point, so fleet, pools and table are untouched; after
+        it there is nothing to undo and resume records the swap."""
+        swap = self._swap
+        if swap is None or swap.committed:
+            return
+        self._swap = None
         for index in sorted(self._parked):
-            frames = self._parked.pop(index)
-            if not 0 <= index < len(self.shards):
-                continue
             receive = self.shards[index].nic.receive_frame
-            for frame in frames:
+            for frame in self._parked.pop(index):
                 receive(frame)
+        self._respecialise(swap.park)
+        # Let the supervisor report these shards' dead workers again.
+        self._recovery_requested.difference_update(swap.park)
+
+    def _run_swap(self, params: dict) -> dict:
+        """The local (no-protocol) driver: quiesce → apply → resume,
+        rolling back if apply raises.  Returns the swap's record."""
+        if not self._swap_quiesce(params):
+            raise ShardingError(
+                f"table swap {params!r} refused (invalid parameters, another "
+                f"round in flight, growth without a shard factory, or no live "
+                f"successor)"
+            )
+        swap = self._swap
+        try:
+            self._swap_apply(params)
+        except Exception:
+            self._swap_rollback()
+            self._swap_resume()
+            raise
+        self._swap_resume()
+        return swap.record
 
     def resize(self, n: int) -> dict:
-        """Run the whole elastic resize locally (no coordination
-        protocol): quiesce → apply → resume, rolling back if apply
-        raises.  Returns the resize record.  The networked path is
-        ``register_shard_resize`` + a reconfiguration round."""
-        params: dict[str, Any] = {"shards": n}
-        actions = self.resize_action_set()
-        if not actions["quiesce"](params):
-            raise ShardingError(
-                f"resize to {n} shards refused (invalid target, another "
-                f"round in flight, growth without a shard factory, or no "
-                f"live home)"
-            )
-        try:
-            actions["apply"](params)
-        except Exception:
-            actions["rollback"](params)
-            actions["resume"](params)
-            raise
-        actions["resume"](params)
-        return self.resizes[-1]
+        """Resize the fleet to *n* shards locally; returns the resize
+        record.  The networked path is ``register_table_swap`` + a
+        ``{"shards": n}`` reconfiguration round."""
+        return self._run_swap({"shards": n})
+
+    def recover_shard(self, index: int, *, to: int | None = None) -> dict:
+        """Move every bucket of shard *index* to one live successor (*to*
+        when given) locally; returns the recovery record.  The networked
+        path is ``register_table_swap`` + a ``{"shard": index}`` round."""
+        params: dict[str, Any] = {"shard": index}
+        if to is not None:
+            params["to"] = to
+        return self._run_swap(params)
+
+    def parked_count(self) -> int:
+        """Frames parked by an in-progress swap (not on any RX ring, so
+        not in :meth:`total_backlog` — they drain at commit/abort)."""
+        return sum(len(frames) for frames in self._parked.values())
+
+    def decompile_all(self) -> None:
+        """De-specialise the whole fleet: every shard's compiled chain is
+        torn down so a reconfiguration that mutates vtables runs
+        interpreted.  The adaptation stratum calls this before any hot
+        swap it actuates — its rule engine refuses the swap otherwise."""
+        for shard in self.shards:
+            if shard.decompile is not None:
+                shard.decompile()
+
+    def recompile_all(self) -> None:
+        """Rebuild every shard's compiled hot path (idempotent; shards
+        without the hook are untouched)."""
+        for shard in self.shards:
+            if shard.recompile is not None:
+                shard.recompile()
+
+    def compiled_shards(self) -> list[int]:
+        """Indices of shards whose engine currently dispatches through a
+        live compiled chain — the regions a vtable mutation must not
+        touch until :meth:`decompile_all` has run."""
+        return [
+            index
+            for index, shard in enumerate(self.shards)
+            if getattr(shard.engine, "compiled_active", False)
+        ]
 
     # -- runtime tuning (the adaptation stratum's knobs) --------------------------
 
@@ -1219,10 +1082,9 @@ class ShardedDatapath:
     def round_open(self) -> bool:
         """True while a two-phase round (resize or recovery) holds this
         datapath quiesced — the window in which a second structural
-        change must not start (the rounds themselves are mutually
-        exclusive; the adaptation rule engine extends the same exclusion
-        to the actions it governs)."""
-        return self._pending_resize is not None or bool(self._pending_recovery)
+        change must not start (one swap at a time; the adaptation rule
+        engine extends the same exclusion to the actions it governs)."""
+        return self._swap is not None
 
     def worker_alive(self, index: int) -> bool:
         """True when shard *index* exists and its worker thread has not
@@ -1370,11 +1232,7 @@ class ShardedDatapath:
         by the caller.
         """
         if not self._stopping:
-            for dead in sorted(self._pending_recovery):
-                self._recovery_rollback({"shard": dead})
-            if self._pending_resize is not None:
-                self._resize_rollback({"shards": self._pending_resize["target"]})
-            self._unpark_all()
+            self._swap_rollback()
         abandoned = 0
         for shard in self.shards:
             while True:
@@ -1401,22 +1259,10 @@ class ShardedDatapath:
         engines before the stop — a graceful park-and-drain shutdown.
         """
         if not self._stopping:
-            for dead in sorted(self._pending_recovery):
-                self._recovery_rollback({"shard": dead})
-            if self._pending_resize is not None:
-                self._resize_rollback(
-                    {"shards": self._pending_resize["target"]}
-                )
-            # Defensive: an orphaned park list (no pending round) must
-            # not strand frames either.
-            self._unpark_all()
+            self._swap_rollback()
             if drain:
                 for shard in self.shards:
-                    while True:
-                        batch = shard.take_batch(self.batch)
-                        if not batch:
-                            break
-                        shard.process(batch)
+                    self._drain(shard)
         self._stopping = True
         for _ in range(2 * len(self._threads) + 2):
             if all(thread.done for thread in self._threads):
@@ -1441,10 +1287,9 @@ class ShardedDatapath:
             "steer_malformed": self.steering.malformed,
             "total_backlog": self.total_backlog(),
             "parked": self.parked_count(),
-            "redirects": dict(self._redirect),
             "recoveries": len(self.recoveries),
             "resizes": len(self.resizes),
-            "resize_pending": self._pending_resize is not None,
+            "resize_pending": self._swap is not None and self._swap.kind == "resize",
             "buckets": len(self.steering.table),
             "local_steals": self.local_steals,
             "remote_steals": self.remote_steals,
@@ -1516,20 +1361,23 @@ class ShardedDatapath:
         dead-fleet and no-progress guards take over.)
         """
         while not self._stopping:
-            depths = [shard.backlog_depth for shard in self.shards]
             if self.recovery_driver is not None:
-                # Containment → coordination hand-off: report each dead
-                # worker exactly once (rollback re-arms the report so an
-                # aborted round is retried).  Failover stealing continues
-                # below while the driver's round is in flight.
+                # Containment → coordination hand-off: report a dead
+                # worker that still owns buckets, once, and only while no
+                # round is open (a refused or rolled-back recovery re-arms
+                # the report, so it is retried).  Failover stealing
+                # continues below while the driver's round is in flight.
                 for index, worker in enumerate(self._workers):
+                    if self._swap is not None:
+                        break
                     if (
                         worker.done
                         and index not in self._recovery_requested
-                        and index not in self._redirect
+                        and index in self.steering.table
                     ):
                         self._recovery_requested.add(index)
                         self.recovery_driver(self, index)
+            depths = [shard.backlog_depth for shard in self.shards]
             dead_backlogged = [
                 index
                 for index in range(len(self.shards))

@@ -554,8 +554,8 @@ def build_sharded_forwarding_datapath(
             flush=lambda p=pipeline, h=handler: p.flush_tx(handler=h),
             engine=pipeline,
             # Reconfiguration hooks: the sharded datapath de-specialises
-            # every shard while a resize/recovery round is in flight and
-            # rebuilds the compiled chain on commit/rollback.
+            # the shards a resize/recovery swap parks and rebuilds the
+            # compiled chain of each that owns a bucket once it settles.
             decompile=pipeline.decompile,
             recompile=(
                 None

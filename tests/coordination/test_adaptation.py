@@ -231,7 +231,7 @@ class TestVetoPaths:
     def test_no_resize_during_round(self):
         system = build_system(shards=2)
         datapath, manager = system["datapath"], system["manager"]
-        actions = datapath.resize_action_set()
+        actions = datapath.swap_action_set()
         assert actions["quiesce"]({"shards": 1})
         assert not manager.request(AdaptationAction("resize", {"shards": 4}))
         veto = manager.vetoes[-1]

@@ -306,7 +306,7 @@ class ScheduleRun:
         vetoes_before = len(self.manager.vetoes)
         if variant == "round":
             target = 3 if len(self.datapath.shards) != 3 else 4
-            actions = self.datapath.resize_action_set()
+            actions = self.datapath.swap_action_set()
             if not actions["quiesce"]({"shards": target}):
                 return
             before = self.observe()

@@ -8,8 +8,7 @@ from repro.coordination import (
     ReconfigError,
     ReconfigParticipant,
     attach_agents,
-    register_shard_recovery,
-    register_shard_resize,
+    register_table_swap,
 )
 from repro.netsim import FaultInjector, Topology
 
@@ -235,24 +234,34 @@ class TestRollbackOrdering:
         assert rolled < resumed
 
 
-class FakeRecoverableDatapath:
-    """Duck-typed stand-in for ShardedDatapath.recovery_action_set()."""
+class FakeSwapDatapath:
+    """Duck-typed stand-in for ShardedDatapath.swap_action_set(): logs
+    each phase with the round's ``"shard"`` (recovery) or ``"shards"``
+    (resize) parameter."""
 
-    def __init__(self, *, quiesce_ok=True):
+    def __init__(self, *, quiesce_ok=True, apply_raises=False):
         self.calls = []
         self.quiesce_ok = quiesce_ok
+        self.apply_raises = apply_raises
 
-    def recovery_action_set(self):
+    def swap_action_set(self):
+        def log(phase, params):
+            self.calls.append((phase, params.get("shard", params.get("shards"))))
+
+        def quiesce(params):
+            log("quiesce", params)
+            return self.quiesce_ok
+
+        def apply(params):
+            log("apply", params)
+            if self.apply_raises:
+                raise RuntimeError("re-carve hand-off failed")
+
         return {
-            "quiesce": lambda params: (
-                self.calls.append(("quiesce", params["shard"])),
-                self.quiesce_ok,
-            )[1],
-            "apply": lambda params: self.calls.append(("apply", params["shard"])),
-            "resume": lambda params: self.calls.append(("resume", params["shard"])),
-            "rollback": lambda params: self.calls.append(
-                ("rollback", params["shard"])
-            ),
+            "quiesce": quiesce,
+            "apply": apply,
+            "resume": lambda params: log("resume", params),
+            "rollback": lambda params: log("rollback", params),
         }
 
 
@@ -261,8 +270,8 @@ class TestShardRecoveryBridge:
         topo, coordinator, participants = network
         datapaths = {}
         for node, participant in participants.items():
-            datapaths[node] = FakeRecoverableDatapath()
-            register_shard_recovery(participant, datapaths[node])
+            datapaths[node] = FakeSwapDatapath()
+            register_table_swap(participant, datapaths[node], kind="shard-recovery")
         round_ = coordinator.start(
             "shard-recovery", list(participants), {"shard": 2}, deadline=1.0
         )
@@ -278,8 +287,8 @@ class TestShardRecoveryBridge:
         items = list(participants.items())
         datapaths = {}
         for node, participant in items:
-            datapaths[node] = FakeRecoverableDatapath(quiesce_ok=(node != "leaf2"))
-            register_shard_recovery(participant, datapaths[node])
+            datapaths[node] = FakeSwapDatapath(quiesce_ok=(node != "leaf2"))
+            register_table_swap(participant, datapaths[node], kind="shard-recovery")
         round_ = coordinator.start("shard-recovery", list(participants), {"shard": 0})
         topo.engine.run()
         assert round_.status == "aborted"
@@ -290,40 +299,13 @@ class TestShardRecoveryBridge:
             ]
 
 
-class FakeResizableDatapath:
-    """Duck-typed stand-in for ShardedDatapath.resize_action_set()."""
-
-    def __init__(self, *, quiesce_ok=True, apply_raises=False):
-        self.calls = []
-        self.quiesce_ok = quiesce_ok
-        self.apply_raises = apply_raises
-
-    def resize_action_set(self):
-        def apply(params):
-            self.calls.append(("apply", params["shards"]))
-            if self.apply_raises:
-                raise RuntimeError("re-carve hand-off failed")
-
-        return {
-            "quiesce": lambda params: (
-                self.calls.append(("quiesce", params["shards"])),
-                self.quiesce_ok,
-            )[1],
-            "apply": apply,
-            "resume": lambda params: self.calls.append(("resume", params["shards"])),
-            "rollback": lambda params: self.calls.append(
-                ("rollback", params["shards"])
-            ),
-        }
-
-
 class TestShardResizeBridge:
     def test_committed_round_drives_quiesce_apply_resume(self, network):
         topo, coordinator, participants = network
         datapaths = {}
         for node, participant in participants.items():
-            datapaths[node] = FakeResizableDatapath()
-            register_shard_resize(participant, datapaths[node])
+            datapaths[node] = FakeSwapDatapath()
+            register_table_swap(participant, datapaths[node], kind="shard-resize")
         round_ = coordinator.start(
             "shard-resize", list(participants), {"shards": 6}, deadline=1.0
         )
@@ -339,11 +321,11 @@ class TestShardResizeBridge:
         items = list(participants.items())
         datapaths = {}
         for node, participant in items[:-1]:
-            datapaths[node] = FakeResizableDatapath()
-            register_shard_resize(participant, datapaths[node])
+            datapaths[node] = FakeSwapDatapath()
+            register_table_swap(participant, datapaths[node], kind="shard-resize")
         refuser_name, refuser = items[-1]
-        datapaths[refuser_name] = FakeResizableDatapath(quiesce_ok=False)
-        register_shard_resize(refuser, datapaths[refuser_name])
+        datapaths[refuser_name] = FakeSwapDatapath(quiesce_ok=False)
+        register_table_swap(refuser, datapaths[refuser_name], kind="shard-resize")
         round_ = coordinator.start(
             "shard-resize", list(participants), {"shards": 0}, deadline=1.0
         )
@@ -362,11 +344,11 @@ class TestShardResizeBridge:
         items = list(participants.items())
         datapaths = {}
         failing_name, failing = items[0]
-        datapaths[failing_name] = FakeResizableDatapath(apply_raises=True)
-        register_shard_resize(failing, datapaths[failing_name])
+        datapaths[failing_name] = FakeSwapDatapath(apply_raises=True)
+        register_table_swap(failing, datapaths[failing_name], kind="shard-resize")
         for node, participant in items[1:]:
-            datapaths[node] = FakeResizableDatapath()
-            register_shard_resize(participant, datapaths[node])
+            datapaths[node] = FakeSwapDatapath()
+            register_table_swap(participant, datapaths[node], kind="shard-resize")
         round_ = coordinator.start(
             "shard-resize", list(participants), {"shards": 4}, deadline=1.0
         )
@@ -377,20 +359,14 @@ class TestShardResizeBridge:
         ]
 
     def test_resize_and_recovery_coexist_on_one_participant(self, network):
-        # One datapath can register both kinds; the round's kind selects
-        # the action set.
+        # One datapath registers its single swap action set under both
+        # kinds; the round's parameters say which swap it is.
         topo, coordinator, participants = network
-
-        class Both(FakeResizableDatapath, FakeRecoverableDatapath):
-            def __init__(self):
-                FakeResizableDatapath.__init__(self)
-                FakeRecoverableDatapath.__init__(self)
-
         datapaths = {}
         for node, participant in participants.items():
-            datapaths[node] = Both()
-            register_shard_recovery(participant, datapaths[node])
-            register_shard_resize(participant, datapaths[node])
+            datapaths[node] = FakeSwapDatapath()
+            register_table_swap(participant, datapaths[node], kind="shard-recovery")
+            register_table_swap(participant, datapaths[node], kind="shard-resize")
         first = coordinator.start(
             "shard-resize", list(participants), {"shards": 3}, deadline=1.0
         )

@@ -444,7 +444,7 @@ class TestShardingHooks:
 
     def test_resize_rollback_recompiles(self):
         datapath = self._datapath(shards=2)
-        actions = datapath.resize_action_set()
+        actions = datapath.swap_action_set()
         params = {"shards": 1}
         assert actions["quiesce"](params)
         for shard in datapath.shards:
@@ -464,7 +464,7 @@ class TestShardingHooks:
 
     def test_recovery_rollback_recompiles_dead_shard(self):
         datapath = self._datapath(shards=2)
-        actions = datapath.recovery_action_set()
+        actions = datapath.swap_action_set()
         params = {"shard": 0}
         assert actions["quiesce"](params)
         assert not datapath.shards[0].engine.compiled_active

@@ -1,12 +1,13 @@
 """Property-based suite for elastic resize invariants (C16).
 
-Randomised schedules of traffic waves, committed resizes and aborted
-rounds run against an elastic sharded datapath, with a single-shard
-datapath as the sequential oracle: whatever the schedule, per-flow
-egress must match the oracle byte for byte (which subsumes zero loss
-and per-flow FIFO), bucket homes must move only when a committed resize
-moves them, and the pooled-buffer books must balance across every
-re-carve.
+Randomised schedules of traffic waves, committed resizes, aborted
+rounds, worker crashes and shard recoveries run against an elastic
+sharded datapath, with a single-shard datapath as the sequential oracle:
+whatever the schedule, per-flow egress must match the oracle byte for
+byte (which subsumes zero loss and per-flow FIFO), bucket homes must
+move only when a committed resize or recovery moves them (a recovery
+only the dead shard's, each to one successor), and the pooled-buffer
+books must balance across every re-carve.
 
 Two example budgets ship with the suite, selected by the
 ``REPRO_PROPERTY_PROFILE`` environment variable: ``bounded`` (the
@@ -101,13 +102,16 @@ def build(shards, *, buckets=None):
 
 
 # A schedule interleaves traffic waves, committed resizes (refused
-# targets are a no-op) and aborted rounds (quiesce, park one wave,
-# roll back).
+# targets are a no-op), aborted rounds (quiesce, park one wave, roll
+# back), worker crashes (never the last live worker) and recoveries
+# (refused ones are a no-op).
 steps = st.lists(
     st.one_of(
         st.tuples(st.just("traffic"), st.integers(min_value=1, max_value=3)),
         st.tuples(st.just("resize"), st.integers(min_value=1, max_value=8)),
         st.tuples(st.just("abort"), st.integers(min_value=1, max_value=8)),
+        st.tuples(st.just("crash"), st.integers(min_value=0, max_value=7)),
+        st.tuples(st.just("recover"), st.integers(min_value=0, max_value=7)),
     ),
     min_size=1,
     max_size=10,
@@ -123,6 +127,7 @@ class ScheduleRun:
         self.seq = dict.fromkeys(FLOWS, 0)
         self.emitted = 0
         self.table_moves = []  # (before, after, record) per committed resize
+        self.recoveries = []  # (before, after, record) per committed recovery
 
     def emit(self, waves, *, pump=True):
         frames = []
@@ -144,17 +149,21 @@ class ScheduleRun:
         for kind, arg in schedule:
             if kind == "traffic":
                 self.emit(arg)
-            elif kind == "resize":
+            elif kind in ("resize", "recover"):
+                swap = self.datapath.resize if kind == "resize" else self.datapath.recover_shard
+                moves = self.table_moves if kind == "resize" else self.recoveries
                 before = list(self.datapath.steering.table)
                 try:
-                    record = self.datapath.resize(arg)
+                    record = swap(arg)
                 except ShardingError:
                     continue
                 after = list(self.datapath.steering.table)
-                self.table_moves.append((before, after, record))
+                moves.append((before, after, record))
                 self.pump()
+            elif kind == "crash":
+                self.crash(arg)
             else:  # aborted round: quiesce, park a wave, roll back
-                actions = self.datapath.resize_action_set()
+                actions = self.datapath.swap_action_set()
                 if not actions["quiesce"]({"shards": arg}):
                     continue
                 self.emit(1, pump=False)  # parks on the elastic side
@@ -163,6 +172,19 @@ class ScheduleRun:
                 self.pump()
         self.emit(1)  # the fleet must still be live after the schedule
         return self
+
+    def crash(self, index):
+        """Kill worker *index* unless it is missing, dead or the last
+        live one (failover stealing needs a live peer)."""
+        live = self.datapath.live_shard_indices()
+        if index not in live or len(live) < 2:
+            return
+        self.datapath.inject_worker_crash(index)
+        for _ in range(8):
+            if not self.datapath.worker_alive(index):
+                break
+            self.datapath.threads.step_parallel(self.datapath.cores)
+        assert not self.datapath.worker_alive(index)
 
     def finish(self):
         self.datapath.shutdown(drain=True)
@@ -198,6 +220,23 @@ class TestElasticResizeProperties:
             for bucket in range(BUCKETS):
                 if bucket not in changed:
                     assert after[bucket] == before[bucket]
+        run.finish()
+
+    @_SETTINGS
+    @given(schedule=steps)
+    def test_recovery_moves_only_the_dead_shards_buckets(self, schedule):
+        run = ScheduleRun().run(schedule)
+        # A committed recovery re-targets exactly the buckets the
+        # recovered shard owned, every one of them to the same live
+        # successor, and leaves the rest of the table alone.
+        for before, after, record in run.recoveries:
+            dead, successor = record["shard"], record["to"]
+            owned = [b for b in range(BUCKETS) if before[b] == dead]
+            changed = [b for b in range(BUCKETS) if before[b] != after[b]]
+            assert owned and changed == owned
+            assert {after[b] for b in owned} == {successor}
+            assert successor != dead and successor in before
+            assert dead not in after
         run.finish()
 
     @_SETTINGS

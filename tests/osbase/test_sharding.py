@@ -589,7 +589,7 @@ class TestShardRecovery:
             datapath.inject_worker_crash(0)
         datapath.shutdown()
 
-    def test_recover_shard_drains_then_redirects(self):
+    def test_recover_shard_drains_then_remaps_buckets(self):
         shards = 2
         pools = carve_shard_pools(256, 64, shards, exhaustion_policy="drop-newest")
         recorder = Recorder()
@@ -599,11 +599,11 @@ class TestShardRecovery:
         datapath.steer_batch(backlog)
         record = datapath.recover_shard(0)
         # Drain-before-rehash: the full backlog went through shard 0's
-        # own engine before the redirect was installed...
+        # own engine before its bucket was remapped to the successor...
         assert record["shard"] == 0 and record["to"] == 1
         assert record["drained"] == len(backlog)
         assert record["pool_balanced"]
-        assert datapath.stats()["redirects"] == {0: 1}
+        assert datapath.steering.table == [1, 1]
         assert datapath.recoveries == [record]
         # ...so the drained half egressed from shard 0, and traffic
         # arriving after recovery egresses from the successor.
@@ -626,7 +626,7 @@ class TestShardRecovery:
         pools = carve_shard_pools(256, 64, shards, exhaustion_policy="drop-newest")
         recorder = Recorder()
         datapath = build(shards, pools, recorder)
-        actions = datapath.recovery_action_set()
+        actions = datapath.swap_action_set()
         params = {"shard": 0}
         assert actions["quiesce"](params) is True
         flows = flows_on_shard(0, shards, count=2)
@@ -654,7 +654,7 @@ class TestShardRecovery:
         pools = carve_shard_pools(256, 64, shards, exhaustion_policy="drop-newest")
         recorder = Recorder()
         datapath = build(shards, pools, recorder)
-        actions = datapath.recovery_action_set()
+        actions = datapath.swap_action_set()
         params = {"shard": 0}
         assert actions["quiesce"](params) is True
         flows = flows_on_shard(0, shards, count=2)
@@ -681,7 +681,7 @@ class TestShardRecovery:
         pools = carve_shard_pools(256, 32, 2, exhaustion_policy="drop-newest")
         recorder = Recorder()
         datapath = build(2, pools, recorder)
-        actions = datapath.recovery_action_set()
+        actions = datapath.swap_action_set()
         assert actions["quiesce"]({"shard": "x"}) is False
         assert actions["quiesce"]({"shard": -1}) is False
         assert actions["quiesce"]({"shard": 9}) is False
@@ -697,7 +697,7 @@ class TestShardRecovery:
         pools = carve_shard_pools(256, 32, 2, exhaustion_policy="drop-newest")
         datapath = build(2, pools, recorder)
         datapath._workers[1].state = "done"
-        actions = datapath.recovery_action_set()
+        actions = datapath.swap_action_set()
         assert actions["quiesce"]({"shard": 0, "to": 1}) is False
         assert actions["quiesce"]({"shard": 0}) is False  # nobody left
         with pytest.raises(ShardingError, match="refused"):
@@ -708,7 +708,7 @@ class TestShardRecovery:
         pools = carve_shard_pools(256, 16, 2, exhaustion_policy="drop-newest")
         recorder = Recorder()
         datapath = build(2, pools, recorder)
-        actions = datapath.recovery_action_set()
+        actions = datapath.swap_action_set()
         with pytest.raises(ShardingError, match="without quiesce"):
             actions["apply"]({"shard": 0})
         # Resume/rollback without a pending recovery are safe no-ops.
@@ -716,7 +716,7 @@ class TestShardRecovery:
         actions["rollback"]({"shard": 0})
         datapath.shutdown()
 
-    def test_cascaded_failures_chain_redirects(self):
+    def test_cascaded_failures_remap_straight_to_a_live_shard(self):
         shards = 3
         pools = carve_shard_pools(256, 96, shards, exhaustion_policy="drop-newest")
         recorder = Recorder()
@@ -725,8 +725,10 @@ class TestShardRecovery:
         second = datapath.recover_shard(1)
         assert first["to"] == 1
         assert second["to"] == 2  # the only live worker left
-        assert datapath.stats()["redirects"] == {0: 1, 1: 2}
-        # A shard-0 flow resolves the chain 0 -> 1 -> 2 transitively.
+        # No bucket targets a recovered shard: shard 0's old bucket went
+        # to 1 and then, with shard 1's own, straight on to 2.
+        assert datapath.steering.table == [2, 2, 2]
+        # A shard-0 flow steers straight to shard 2.
         flow = flows_on_shard(0, shards, count=1)[0]
         frames = [seq_frame(flow, seq) for seq in range(4)]
         datapath.steer_batch(frames)
@@ -748,14 +750,119 @@ class TestShardRecovery:
         datapath.steer_batch([seq_frame(flow, seq) for seq in range(6) for flow in flows])
         datapath.pump()
         assert requests == [0]
-        # Completing the recovery clears the request latch but a
-        # redirected shard is not re-requested on later pumps.
+        # A recovered shard owns no bucket, so it is not re-requested
+        # on later pumps.
         datapath.recover_shard(0)
         datapath.steer_batch([seq_frame(flows[0], seq) for seq in range(6, 9)])
         datapath.pump()
         assert requests == [0]
         datapath.shutdown()
 
+
+    def test_failed_flush_accounts_for_every_parked_frame(self):
+        # A raise-policy pool exhausting while a committed recovery
+        # flushes its park list: each parked frame is flushed or counted
+        # refused, never dropped silently.
+        shards = 2
+        pools = carve_shard_pools(256, 16, shards, exhaustion_policy="raise")
+        recorder = Recorder()
+        datapath = build(shards, pools, recorder)
+        actions = datapath.swap_action_set()
+        params = {"shard": 0}
+        assert actions["quiesce"](params)
+        flows = flows_on_shard(0, shards, count=3)
+        frames = [seq_frame(flow, seq) for seq in range(10) for flow in flows]
+        assert datapath.steer_batch(frames) == len(frames)
+        assert datapath.parked_count() == 30
+        actions["apply"](params)
+        actions["resume"](params)
+        record = datapath.recoveries[-1]
+        # The successor's 8-buffer slice takes the first 8, in order.
+        assert record["parked_flushed"] == pools[1].count == 8
+        assert record["parked_flushed"] + record["parked_refused"] == len(frames)
+        assert datapath.parked_count() == 0
+        assert datapath.total_backlog() == record["parked_flushed"]
+        datapath.pump()
+        observed = per_flow_seqs(recorder)
+        assert sum(len(seqs) for seqs in observed.values()) == 8
+        for seqs in observed.values():
+            assert seqs == list(range(len(seqs)))
+        assert shard_pool_audit(pools)["balanced"]
+        datapath.shutdown()
+
+    def test_recovery_refused_during_a_resize_is_retried(self):
+        # A worker dying while a resize holds the round slot is reported
+        # once the slot frees, so the dead shard still loses its buckets.
+        pools = carve_shard_pools(256, 96, 3, exhaustion_policy="drop-newest")
+        recorder = Recorder()
+        datapath = build_elastic(3, pools, recorder, buckets=12)
+        refused = []
+
+        def driver(dp, index):
+            try:
+                dp.recover_shard(index)
+            except ShardingError:
+                refused.append(index)
+
+        datapath.recovery_driver = driver
+        actions = datapath.swap_action_set()
+        assert actions["quiesce"]({"shards": 2})
+        datapath.inject_worker_crash(0)
+        for _ in range(4):
+            datapath.threads.step_parallel(datapath.cores)
+        assert not datapath.worker_alive(0)
+        actions["rollback"]({"shards": 2})
+        actions["resume"]({"shards": 2})
+        assert datapath.steering.table.count(0) == 4
+        flows = flows_on_home(datapath, 0, count=3)
+        for wave in range(5):
+            datapath.steer_batch(
+                [seq_frame(flow, seq) for seq in range(4 * wave, 4 * wave + 4) for flow in flows]
+            )
+            datapath.pump()
+        assert len(datapath.recoveries) == 1
+        assert datapath.recoveries[0]["shard"] == 0
+        assert 0 not in datapath.steering.table
+        assert refused == []
+        for seqs in per_flow_seqs(recorder).values():
+            assert seqs == list(range(20))
+        assert shard_pool_audit(pools)["balanced"]
+        datapath.shutdown()
+
+    def test_refused_recovery_quiesce_rearms_the_report(self):
+        # The driver's round can reach the datapath after another round
+        # took the slot; its refused quiesce re-arms the report so the
+        # supervisor retries once the slot is free.
+        pools = carve_shard_pools(256, 96, 2, exhaustion_policy="drop-newest")
+        recorder = Recorder()
+        datapath = build_elastic(2, pools, recorder, buckets=8)
+        requests = []
+        datapath.recovery_driver = lambda dp, index: requests.append(index)
+        flows = flows_on_home(datapath, 0, count=2)
+
+        def wave(first):
+            datapath.steer_batch(
+                [seq_frame(flow, seq) for seq in range(first, first + 4) for flow in flows]
+            )
+            datapath.pump()
+
+        datapath.inject_worker_crash(0)
+        wave(0)
+        assert requests == [0]
+        actions = datapath.swap_action_set()
+        assert actions["quiesce"]({"shards": 3})
+        assert not actions["quiesce"]({"shard": 0})
+        actions["rollback"]({"shards": 3})
+        actions["resume"]({"shards": 3})
+        wave(4)
+        assert requests == [0, 0]
+        datapath.recover_shard(0)
+        wave(8)
+        assert requests == [0, 0]
+        for seqs in per_flow_seqs(recorder).values():
+            assert seqs == list(range(12))
+        assert shard_pool_audit(pools)["balanced"]
+        datapath.shutdown()
 
 def build_elastic(shards, pools, recorder, *, buckets=16, steal_watermark=None,
                   supervise=True, locality=None):
@@ -916,7 +1023,7 @@ class TestElasticResize:
         pools = carve_shard_pools(256, 32, 2, exhaustion_policy="drop-newest")
         recorder = Recorder()
         datapath = build_elastic(2, pools, recorder, buckets=8)
-        quiesce = datapath.resize_action_set()["quiesce"]
+        quiesce = datapath.swap_action_set()["quiesce"]
         assert not quiesce({"shards": 2})        # no-op target
         assert not quiesce({"shards": 0})
         assert not quiesce({"shards": True})     # bool is not a count
@@ -954,8 +1061,8 @@ class TestElasticResize:
         pools = carve_shard_pools(256, 32, 2, exhaustion_policy="drop-newest")
         recorder = Recorder()
         datapath = build_elastic(2, pools, recorder, buckets=8)
-        resize = datapath.resize_action_set()
-        recovery = datapath.recovery_action_set()
+        resize = datapath.swap_action_set()
+        recovery = datapath.swap_action_set()
         assert resize["quiesce"]({"shards": 4})
         assert not recovery["quiesce"]({"shard": 0})   # resize in flight
         assert not resize["quiesce"]({"shards": 3})    # one round at a time
@@ -972,7 +1079,7 @@ class TestElasticResize:
         pools = carve_shard_pools(256, 64, 2, exhaustion_policy="drop-newest")
         recorder = Recorder()
         datapath = build_elastic(2, pools, recorder, buckets=16)
-        actions = datapath.resize_action_set()
+        actions = datapath.swap_action_set()
         assert actions["quiesce"]({"shards": 4})
         flows = [(f"10.5.{i}.2", 5000 + 9 * i) for i in range(6)]
         frames = [seq_frame(flow, seq) for seq in range(4) for flow in flows]
@@ -1017,7 +1124,7 @@ class TestElasticResize:
         pools = carve_shard_pools(256, 64, 2, exhaustion_policy="drop-newest")
         recorder = Recorder()
         datapath = build_elastic(2, pools, recorder, buckets=16)
-        actions = datapath.resize_action_set()
+        actions = datapath.swap_action_set()
         assert actions["quiesce"]({"shards": 4})
         flows = [(f"10.3.{i}.4", 7000 + 5 * i) for i in range(4)]
         frames = [seq_frame(flow, seq) for seq in range(3) for flow in flows]
@@ -1033,7 +1140,7 @@ class TestElasticResize:
         pools = carve_shard_pools(256, 64, 2, exhaustion_policy="drop-newest")
         recorder = Recorder()
         datapath = build_elastic(2, pools, recorder, buckets=16)
-        actions = datapath.recovery_action_set()
+        actions = datapath.swap_action_set()
         assert actions["quiesce"]({"shard": 0})
         flows = flows_on_home(datapath, 0, count=3)
         frames = [seq_frame(flow, seq) for seq in range(4) for flow in flows]
@@ -1047,7 +1154,7 @@ class TestElasticResize:
         pools = carve_shard_pools(256, 64, 2, exhaustion_policy="drop-newest")
         recorder = Recorder()
         datapath = build_elastic(2, pools, recorder, buckets=16)
-        actions = datapath.resize_action_set()
+        actions = datapath.swap_action_set()
         assert actions["quiesce"]({"shards": 4})
         flows = [(f"10.2.{i}.6", 8000 + 3 * i) for i in range(4)]
         frames = [seq_frame(flow, seq) for seq in range(3) for flow in flows]
@@ -1083,20 +1190,20 @@ class TestElasticResize:
             assert seqs == list(range(16))
         datapath.shutdown()
 
-    def test_resize_compiles_away_standing_redirects(self):
-        # A committed recovery leaves a bucket redirect; the next resize
-        # folds it into the table (the dead shard gets no buckets) and
-        # clears the redirect map.
+    def test_resize_after_recovery_plans_from_the_remapped_table(self):
+        # A committed recovery remaps the shard's buckets in the table
+        # itself, so the next resize plans from a table in which the
+        # recovered shard owns nothing.
         pools = carve_shard_pools(256, 64, 3, exhaustion_policy="drop-newest")
         recorder = Recorder()
         datapath = build_elastic(3, pools, recorder, buckets=12)
+        before = list(datapath.steering.table)
         datapath.recover_shard(0, to=1)
-        assert datapath.stats()["redirects"] == {0: 1}
+        assert datapath.steering.table == [1 if t == 0 else t for t in before]
         datapath.resize(2)
-        assert datapath.stats()["redirects"] == {}
-        # Shard 0's worker is alive (recovery was administrative), but
-        # the plan treated only live shards as homes: every bucket
-        # targets a live index below the new count.
+        # Shard 0's worker is alive (recovery was administrative), so
+        # the plan may hand it buckets again: every bucket targets a
+        # live index below the new count.
         assert all(0 <= t < 2 for t in datapath.steering.table)
         flows = [(f"10.1.{i}.8", 9000 + 17 * i) for i in range(8)]
         datapath.steer_batch(

@@ -333,7 +333,7 @@ def test_aborted_reconfig_round_resize_unparks_without_leaks():
     from repro.osbase import shard_pool_audit
 
     datapath, _released = build_elastic_datapath(2, 64)
-    actions = datapath.resize_action_set()
+    actions = datapath.swap_action_set()
     assert actions["quiesce"]({"shards": 4})
     trace = mixed_elastic_trace(30)
     datapath.steer_batch(trace)
