@@ -17,7 +17,10 @@ Four experiments:
   *virtual* time — each capsule's clock advances only for its own work,
   so fleet completion time is the slowest member's clock and the scaling
   claim is deterministic (it gates at full strength under ``--smoke``,
-  C15-style).  Headline: ≥ 1.6x at 2 capsules, ≥ 2.5x at 4.
+  C15-style).  Headline: ≥ 1.6x at 2 capsules, ≥ 2.5x at 4.  The same
+  cells count steering-hash computations exactly: at most one per
+  forwarded frame (the edge computes it, the capsule reads the value the
+  frame carries).
 - **node-kill failover**: a capsule dies with a live backlog; its hash
   arc moves to the survivors (each flow's home moves at most once — ring
   removal only deletes the dead member's points), its edge reservations
@@ -37,12 +40,14 @@ Four experiments:
 
 import time
 from collections import defaultdict
+from contextlib import contextmanager
 from struct import pack, unpack_from
 
 import pytest
 
 from benchmarks.bench_c6_datapath import routes_with_default
 from benchmarks.conftest import SMOKE, once, report, scaled
+import repro.netsim.wire as wire
 from repro.baselines import (
     ClickRouter,
     monolithic_shard_fleet,
@@ -155,6 +160,25 @@ def feed(fleet, waves):
     return fed
 
 
+@contextmanager
+def counting_flow_hashes():
+    """Count steering-hash computations (``flow_hash_fields`` behind
+    ``flow_hash_of``) while the block runs; reads of the hash a frame
+    already carries are not computations and are not counted."""
+    calls = [0]
+    compute = wire.flow_hash_fields
+
+    def counted(*fields):
+        calls[0] += 1
+        return compute(*fields)
+
+    wire.flow_hash_fields = counted
+    try:
+        yield calls
+    finally:
+        wire.flow_hash_fields = compute
+
+
 def fleet_virtual_time(fleet):
     """Fleet completion time: the slowest capsule's own clock (capsules
     are separate machines running concurrently)."""
@@ -192,14 +216,16 @@ def run_sweep_cell(routes, waves, capsules):
     # only while its own workers drain its share, so completion time is
     # proportional to the busiest member's slice count.
     fed = 0
-    for wave in waves:
-        for frame in wave:
-            fed += 1 if fleet.ingest(frame) else 0
-    fleet.pump()
+    with counting_flow_hashes() as hashes:
+        for wave in waves:
+            for frame in wave:
+                fed += 1 if fleet.ingest(frame) else 0
+        fleet.pump()
     outcome = {
         "capsules": capsules,
         "fed": fed,
         "forwarded": recorder.total,
+        "hashes": hashes[0],
         "virtual": fleet_virtual_time(fleet),
         "by_capsule": dict(recorder.by_capsule),
         "arc_shares": fleet.ring.arc_shares(),
@@ -229,13 +255,15 @@ def test_c18_capsule_sweep(benchmark):
                 f"{speedup:.2f}x",
                 f"{busiest:.2f}",
                 res["forwarded"],
+                f"{res['hashes'] / res['forwarded']:.2f}",
             ]
         )
     report(
         f"C18: capsule sweep {'->'.join(str(n) for n in CAPSULE_SWEEP)}, "
         f"{SHARDS} shards/capsule, {FLOWS} flows, {WAVES} waves, "
         f"{REPLICAS} ring points/capsule (virtual time)",
-        ["capsules", "virtual ms", "speedup", "busiest share", "forwarded"],
+        ["capsules", "virtual ms", "speedup", "busiest share", "forwarded",
+         "hashes/frame"],
         rows,
     )
     print(f"[bench-meta] capsules={','.join(str(n) for n in CAPSULE_SWEEP)}")
@@ -249,6 +277,10 @@ def test_c18_capsule_sweep(benchmark):
         assert res["fed"] == expected, (n, res["fed"], expected)
         assert res["forwarded"] == expected, (n, res["forwarded"], expected)
         assert len(res["by_capsule"]) == n  # every capsule took traffic
+        # One flow hash per frame, as an exact count: the edge computes
+        # it, the capsule's bucket table reads the carried value.
+        assert res["hashes"] == res["fed"], (n, res["hashes"], res["fed"])
+        assert res["hashes"] <= res["forwarded"], (n, res["hashes"], res["forwarded"])
         for flow, observed in res["per_flow"].items():
             assert observed == list(range(WAVES)), (n, flow)
     # The deterministic scaling headline: virtual completion time is the

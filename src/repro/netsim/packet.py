@@ -16,6 +16,7 @@ import itertools
 import struct
 from dataclasses import dataclass
 from typing import Any
+from zlib import crc32 as _crc32
 
 from repro.opencom.errors import OpenComError
 from repro.osbase.memory import DATAPATH_LEDGER as _LEDGER
@@ -102,21 +103,27 @@ def incremental_checksum_update(checksum: int, old_word: int, new_word: int) -> 
     return (~total) & 0xFFFF
 
 
-_FNV64_OFFSET = 0xCBF29CE484222325
-_FNV64_PRIME = 0x100000001B3
-_FNV64_MASK = 0xFFFFFFFFFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+#: The five-tuple at native width: 4-byte addresses for v4, each 16-byte
+#: v6 address as two 64-bit halves.  Precompiled so a hash is one C-level
+#: pack plus one C-level CRC.
+_pack_v4_tuple = struct.Struct("!BIIHHB").pack
+_pack_v6_tuple = struct.Struct("!BQQQQHHB").pack
 
 
 def flow_hash_fields(
     version: int, src: int, dst: int, sport: int, dport: int, proto: int
 ) -> int:
-    """Deterministic 64-bit FNV-1a hash over a packet's five-tuple.
+    """Deterministic 64-bit steering hash over a packet's five-tuple:
+    CRC-32 (``zlib.crc32``) of the packed tuple, avalanched by the
+    murmur3 64-bit finaliser.
 
     This is the RSS-style *steering* hash: the sharded datapath
-    (:mod:`repro.osbase.sharding`) uses ``flow_hash % shards`` to pin
+    (:mod:`repro.osbase.sharding`) uses ``flow_hash % buckets`` to pin
     every packet of a flow to one forwarding worker, which is what makes
-    per-flow ordering a per-shard FIFO property.  Two invariants matter
-    and are regression-tested:
+    per-flow ordering a per-shard FIFO property, and a fleet's
+    :class:`~repro.osbase.sharding.HashRing` places the same value on its
+    64-bit ring.  Two invariants matter and are regression-tested:
 
     - **stability across representations** — the hash is a pure function
       of the five-tuple field *values*, so a raw wire frame, a
@@ -128,31 +135,31 @@ def flow_hash_fields(
       trace steers the same way in every process (deterministic
       experiments, diffable shard counters).
 
-    Addresses are mixed at their native width (4 bytes for v4, 16 for
-    v6) so v4/v6 flows sharing low-order address bits do not collide
-    structurally.  The raw FNV state is then avalanched with the
-    murmur3 64-bit finaliser: steering takes ``hash % shards`` with
-    power-of-two shard counts, and plain FNV-1a's low bit is just the
-    XOR of the input bytes' low bits — without the finaliser, traces
-    whose per-flow low bits cancel (e.g. the same counter feeding both a
-    source octet and a port) would collapse onto half the shards.
+    Addresses are packed at their native width (4 bytes for v4, 16 for
+    v6) and the two families pack to different lengths, so v4/v6 flows
+    sharing low-order address bits do not collide structurally.  CRC-32
+    is linear over GF(2), so its low bits are XOR combinations of input
+    bits: steering takes ``hash % buckets`` with power-of-two counts, and
+    without the finaliser traces whose per-flow low bits cancel (e.g. the
+    same counter feeding both a source octet and a port) would collapse
+    onto a fraction of the shards.  The finaliser's first xor-shift
+    (``h ^= h >> 33``) is a no-op on a 32-bit CRC, so it is skipped.
+
+    A wire packet computes this once and carries it (see
+    :func:`repro.netsim.wire.flow_hash_of`).
     """
-    h = _FNV64_OFFSET
-    for value, width in (
-        (version, 1),
-        (src, 16 if version == 6 else 4),
-        (dst, 16 if version == 6 else 4),
-        (sport, 2),
-        (dport, 2),
-        (proto, 1),
-    ):
-        for shift in range((width - 1) * 8, -1, -8):
-            h ^= (value >> shift) & 0xFF
-            h = (h * _FNV64_PRIME) & _FNV64_MASK
+    if version == 6:
+        h = _crc32(
+            _pack_v6_tuple(
+                6, src >> 64, src & _MASK64, dst >> 64, dst & _MASK64,
+                sport, dport, proto,
+            )
+        )
+    else:
+        h = _crc32(_pack_v4_tuple(version, src, dst, sport, dport, proto))
+    h = (h * 0xFF51AFD7ED558CCD) & _MASK64
     h ^= h >> 33
-    h = (h * 0xFF51AFD7ED558CCD) & _FNV64_MASK
-    h ^= h >> 33
-    h = (h * 0xC4CEB9FE1A85EC53) & _FNV64_MASK
+    h = (h * 0xC4CEB9FE1A85EC53) & _MASK64
     h ^= h >> 33
     return h
 

@@ -463,6 +463,7 @@ class WirePacket:
         "net",
         "transport",
         "_payload_off",
+        "rss",
     )
 
     def __init__(
@@ -478,6 +479,10 @@ class WirePacket:
         self.packet_id = next(_PACKET_IDS)
         self.created_at = created_at
         self.metadata = metadata if metadata is not None else {}
+        #: The flow hash, filled on first use by :func:`flow_hash_of` and
+        #: carried with the frame (DPDK's ``mbuf.hash.rss``); any header
+        #: write clears it (:meth:`_unshare`).
+        self.rss: int | None = None
         self._parse_layout()
 
     def _parse_layout(self) -> None:
@@ -707,12 +712,12 @@ class WirePacket:
         return (self.version, src, dst, sport, dport, proto)
 
     def flow_hash(self) -> int:
-        """Stable RSS-style steering hash, read by ``unpack_from`` on the
-        view (:meth:`flow_key`) — no header objects are touched, and the
-        value matches :meth:`Packet.flow_hash` and :func:`flow_hash_of`
-        on the same bytes (regression-tested: steering must not depend on
-        a packet's representation)."""
-        return flow_hash_fields(*self.flow_key())
+        """Stable RSS-style steering hash: the carried :attr:`rss` value,
+        computed from :meth:`flow_key` on first use.  It matches
+        :meth:`Packet.flow_hash` and :func:`flow_hash_of` on the same
+        bytes (regression-tested: steering must not depend on a packet's
+        representation)."""
+        return flow_hash_of(self)
 
     # -- byte-level operations --------------------------------------------------
 
@@ -734,9 +739,10 @@ class WirePacket:
 
     def clone_ref(self) -> "WirePacket":
         """Zero-copy clone for fan-out: shares the backing buffer (one
-        refcount bump, ledger-recorded as a reference).  The clone carries
-        its own metadata dict; the first header write on either side
-        triggers copy-on-write unsharing, so clones may diverge safely.
+        refcount bump, ledger-recorded as a reference) and so the carried
+        flow hash.  The clone carries its own metadata dict; the first
+        header write on either side triggers copy-on-write unsharing, so
+        clones may diverge safely.
         """
         _LEDGER.record_reference(self.length)
         self.buffer.clone_ref()
@@ -747,6 +753,7 @@ class WirePacket:
         clone.packet_id = next(_PACKET_IDS)
         clone.created_at = self.created_at
         clone.metadata = dict(self.metadata)
+        clone.rss = self.rss
         clone._parse_layout()
         return clone
 
@@ -761,7 +768,10 @@ class WirePacket:
     def _unshare(self) -> None:
         """Copy-on-write barrier: before any in-place write, a packet whose
         buffer is shared (refcount > 1) moves to a private standalone copy
-        so siblings on a multicast path never observe the mutation."""
+        so siblings on a multicast path never observe the mutation.  Every
+        header write comes through here, so it also drops the carried
+        flow hash — the written field may be part of the five-tuple."""
+        self.rss = None
         buffer = self.buffer
         if buffer.refcount > 1:
             _LEDGER.record_copy(self.length)
@@ -840,16 +850,24 @@ def wire_flow_key(frame: bytes | bytearray | memoryview) -> tuple:
 def flow_hash_of(frame: Any) -> int:
     """The steering hash of an arriving frame, in any representation.
 
-    This is what the RSS steering stage calls *before* any pool acquire:
-    raw wire bytes go through :func:`wire_flow_key` (pure ``unpack_from``
-    reads), while materialised packets and wire packets hash their
-    ``flow_key()``.  All three representations of the same packet
-    produce the same value (see
+    This is what the RSS steering stage calls *before* any pool acquire.
+    A :class:`WirePacket` hashes once: the first call stores the value in
+    its :attr:`~WirePacket.rss` slot and later calls (the capsule's
+    bucket table after the edge's ring lookup) read it back, until a
+    header write clears it.  Raw wire bytes go through
+    :func:`wire_flow_key` (pure ``unpack_from`` reads) and materialised
+    packets hash their ``flow_key()``, fresh on every call.  All three
+    representations of the same packet produce the same value (see
     :func:`~repro.netsim.packet.flow_hash_fields` for why that matters);
     unusable byte frames raise :class:`PacketError` — the sharded
     runtime's steering stage counts those as malformed refusals
     (:class:`repro.osbase.sharding.RssSteering`).
     """
+    if isinstance(frame, WirePacket):
+        rss = frame.rss
+        if rss is None:
+            rss = frame.rss = flow_hash_fields(*frame.flow_key())
+        return rss
     if isinstance(frame, (bytes, bytearray, memoryview)):
         return flow_hash_fields(*wire_flow_key(frame))
     return flow_hash_fields(*frame.flow_key())

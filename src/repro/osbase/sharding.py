@@ -245,11 +245,30 @@ class RssSteering:
         return None
 
     def steer_batch(self, frames: list) -> int:
-        """Steer a whole batch; returns frames accepted."""
+        """Steer a whole batch in one loop; returns frames accepted.
+
+        Frame for frame the same as :meth:`steer` — same order, same
+        malformed and refused accounting — with the hash, table, outputs
+        and counters bound once per batch instead of once per frame."""
+        hash_fn = self.hash_fn
+        reject = self.reject
+        table = self.table
+        buckets = len(table)
+        outputs = self.outputs
+        steered = self.steered
+        refused = self.refused
         accepted = 0
         for frame in frames:
-            if self.steer(frame) is not None:
+            try:
+                index = table[hash_fn(frame) % buckets]
+            except reject:
+                self.malformed += 1
+                continue
+            if outputs[index](frame):
+                steered[index] += 1
                 accepted += 1
+            else:
+                refused[index] += 1
         return accepted
 
 
@@ -272,8 +291,11 @@ class HashRing:
     enforces (see the module docstring).
 
     Point placement uses a local FNV-1a/murmur-finaliser hash over the
-    virtual-node label (osbase never imports the wire-format hash from
-    the stratum above; only the *avalanche recipe* is shared).
+    virtual-node label, on purpose: it runs only at membership changes
+    (never per frame), so it stays independent of the per-frame steering
+    hash — osbase never imports the wire-format hash from the stratum
+    above, and a change to that hash moves flows between arcs, never the
+    arcs themselves.  Only the *avalanche recipe* is shared.
     """
 
     _MASK = 0xFFFFFFFFFFFFFFFF
@@ -541,6 +563,9 @@ class ShardedDatapath:
         #: Completed recoveries and resizes (see docs/robustness.md).
         self.recoveries: list[dict] = []
         self.resizes: list[dict] = []
+        #: Parked frames an aborted swap could not put back on their own
+        #: ring (ring full, pool exhausted) — counted, never lost.
+        self.rollback_refused = 0
         #: Optional hook called for a dead worker that still owns buckets
         #: while no round is open (fault containment → coordination
         #: hand-off); typically starts a reconfiguration round over the
@@ -856,23 +881,8 @@ class ShardedDatapath:
         #    home in arrival order — each flow's parked frames live in
         #    exactly one park list, so they land contiguously and in
         #    order on their (single) new home.
-        flushed = refused = 0
-        for _, frames in sorted(self._parked.items()):
-            for frame in frames:
-                receive = self.shards[self.steering.shard_of(frame)].nic.receive_frame
-                try:
-                    accepted = receive(frame)
-                except ResourceError:
-                    # A raise-policy pool exhausting mid-flush must not
-                    # abort a committed swap half way: the frame was
-                    # never materialised into a pooled buffer, so
-                    # refusing it here cannot leak (same as any NIC drop).
-                    accepted = False
-                if accepted:
-                    flushed += 1
-                else:
-                    refused += 1
-        self._parked.clear()
+        shard_of = self.steering.shard_of
+        flushed, refused = self._flush_parked(lambda _home, frame: shard_of(frame))
         record = swap.record
         if swap.kind == "resize":
             record.update(drained=drained, drained_total=sum(drained), pool_handoff=handoff)
@@ -896,6 +906,33 @@ class ShardedDatapath:
         # 4. Re-specialise the parked shards that still own a bucket
         #    (grown shards came compiled from the factory).
         self._respecialise(swap.park)
+
+    def _flush_parked(self, target: Callable[[int, Any], int]) -> tuple[int, int]:
+        """Empty every park list onto the shard ``target(home, frame)``
+        names, home by home in arrival order; returns ``(flushed,
+        refused)``.  Shared by the commit (the new table) and the
+        rollback (each frame's own shard).
+
+        Never raises part-way: a refusal — the NIC returning False, or a
+        raise-policy pool exhausting with :class:`ResourceError` — is
+        counted and the flush goes on.  The refused frame was never
+        materialised into a pooled buffer, so refusing it cannot leak
+        (same as any NIC drop), and every parked frame ends up either on
+        a ring or in the refused count."""
+        shards = self.shards
+        flushed = refused = 0
+        for home, frames in sorted(self._parked.items()):
+            for frame in frames:
+                try:
+                    accepted = shards[target(home, frame)].nic.receive_frame(frame)
+                except ResourceError:
+                    accepted = False
+                if accepted:
+                    flushed += 1
+                else:
+                    refused += 1
+        self._parked.clear()
+        return flushed, refused
 
     def _drain(self, shard: Shard) -> int:
         """Run *shard*'s whole backlog through its own engine inline;
@@ -964,17 +1001,18 @@ class ShardedDatapath:
     def _swap_rollback(self) -> None:
         """Abort-side undo: every parked frame returns to its own shard's
         ring in arrival order (failover stealing drains a dead one) and
-        the parked shards re-specialise.  Apply mutates nothing before
-        its commit point, so fleet, pools and table are untouched; after
-        it there is nothing to undo and resume records the swap."""
+        the parked shards re-specialise.  A frame its ring refuses is
+        counted in :attr:`rollback_refused`; the rollback itself never
+        raises, so it cannot mask the apply error that caused it.  Apply
+        mutates nothing before its commit point, so fleet, pools and
+        table are untouched; after it there is nothing to undo and resume
+        records the swap."""
         swap = self._swap
         if swap is None or swap.committed:
             return
         self._swap = None
-        for index in sorted(self._parked):
-            receive = self.shards[index].nic.receive_frame
-            for frame in self._parked.pop(index):
-                receive(frame)
+        _, refused = self._flush_parked(lambda home, _frame: home)
+        self.rollback_refused += refused
         self._respecialise(swap.park)
         # Let the supervisor report these shards' dead workers again.
         self._recovery_requested.difference_update(swap.park)
@@ -1287,6 +1325,7 @@ class ShardedDatapath:
             "steer_malformed": self.steering.malformed,
             "total_backlog": self.total_backlog(),
             "parked": self.parked_count(),
+            "rollback_refused": self.rollback_refused,
             "recoveries": len(self.recoveries),
             "resizes": len(self.resizes),
             "resize_pending": self._swap is not None and self._swap.kind == "resize",

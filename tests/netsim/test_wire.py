@@ -14,12 +14,17 @@ from hypothesis import strategies as st
 from repro.analysis import measure_byte_movement
 from repro.baselines import ClickRouter, MonolithicRouter, standard_click_config
 from repro.netsim import (
+    PROTO_ICMP,
+    PROTO_TCP,
+    PROTO_UDP,
     IPv4Header,
     IPv6Header,
     Packet,
     TCPHeader,
     UDPHeader,
     WirePacket,
+    flow_hash_fields,
+    flow_hash_of,
     incremental_checksum_update,
     internet_checksum,
     make_tcp_v4,
@@ -242,6 +247,98 @@ class TestCopyOnWrite:
         c = w.copy()
         assert c.buffer is not w.buffer
         assert c.to_bytes() == w.to_bytes()
+
+
+#: One frame per (family, transport) shape; UDP frames carry 16 payload
+#: bytes so a UDP <-> TCP protocol write still leaves a whole TCP header.
+CARRIED_HASH_FRAMES = {
+    "udp4": lambda: make_udp_v4("10.0.0.1", "10.0.0.2", sport=5, dport=7,
+                                payload=bytes(16)),
+    "tcp4": lambda: make_tcp_v4("10.0.0.1", "10.0.0.2", sport=5, dport=7),
+    "icmp4": lambda: Packet(
+        IPv4Header(src=0x0A000001, dst=0x0A000002, protocol=PROTO_ICMP), None, b"ping"
+    ),
+    "udp6": lambda: make_udp_v6("2001:db8::1", "2001:db8::2", sport=5, dport=7,
+                                payload=bytes(16)),
+    "tcp6": lambda: Packet(
+        IPv6Header(src=1, dst=2, next_header=PROTO_TCP), TCPHeader(sport=5, dport=7), b""
+    ),
+    "icmp6": lambda: Packet(IPv6Header(src=1, dst=2, next_header=58), None, b"ping"),
+}
+
+CARRIED_HASH_OPS = ("check", "clone", "src", "dst", "sport", "dport", "proto",
+                    "ttl", "decrement", "nat_src", "nat_dst")
+
+
+def _apply_header_write(data, packet, op):
+    """One header write through the views.  A protocol write keeps the
+    layout parsed at construction, so it stays inside the frame's
+    transport class (UDP <-> TCP, or among transport-less protocols)."""
+    net = packet.net
+    v4 = packet.version == 4
+    address = st.integers(min_value=0, max_value=2**32 - 1 if v4 else 2**128 - 1)
+    if op == "src":
+        net.src = data.draw(address)
+    elif op == "dst":
+        net.dst = data.draw(address)
+    elif op in ("sport", "dport") and packet.transport is not None:
+        setattr(packet.transport, op, data.draw(ports))
+    elif op == "proto":
+        choices = (PROTO_UDP, PROTO_TCP) if packet.transport is not None else (
+            PROTO_ICMP, 47, 50, 58)
+        proto = data.draw(st.sampled_from(choices))
+        if v4:
+            net.protocol = proto
+        else:
+            net.next_header = proto
+    elif op == "ttl":
+        if v4:
+            net.ttl = data.draw(ttls)
+        else:
+            net.hop_limit = data.draw(ttls)
+    elif op == "decrement" and v4:
+        net.decrement_ttl()
+    elif op == "decrement":
+        net.decrement_hop_limit()
+    elif op in ("nat_src", "nat_dst") and v4:
+        rewrite = net.rewrite_src if op == "nat_src" else net.rewrite_dst
+        rewrite(data.draw(address))
+
+
+def _assert_hash_tracks_bytes(packet):
+    carried = flow_hash_of(packet)
+    assert carried == packet.rss
+    assert carried == flow_hash_fields(*packet.flow_key())
+    assert carried == flow_hash_of(packet.to_bytes())
+
+
+class TestCarriedFlowHash:
+    """A wire packet carries its flow hash (``rss``) once computed; any
+    header write must clear it, or steering would read a stale value."""
+
+    def test_fresh_packet_has_no_hash_and_clone_shares_it(self):
+        w = wire_of(make_udp_v4("10.0.0.1", "10.0.0.2"))
+        assert w.rss is None
+        assert w.clone_ref().rss is None
+        value = flow_hash_of(w)
+        assert w.rss == value == w.flow_hash()
+        assert w.clone_ref().rss == value
+
+    @pytest.mark.parametrize("shape", sorted(CARRIED_HASH_FRAMES))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_header_writes_clear_the_carried_hash(self, shape, data):
+        live = [wire_of(CARRIED_HASH_FRAMES[shape]())]
+        for op in data.draw(st.lists(st.sampled_from(CARRIED_HASH_OPS), max_size=12)):
+            target = live[data.draw(st.integers(0, len(live) - 1))]
+            if op == "check":
+                _assert_hash_tracks_bytes(target)
+            elif op == "clone":
+                live.append(target.clone_ref())
+            else:
+                _apply_header_write(data, target, op)
+        for packet in live:
+            _assert_hash_tracks_bytes(packet)
 
 
 class TestIncrementalChecksumProperties:

@@ -2,15 +2,21 @@
 scheduler service loop, per-flow ordering under work-stealing, and the
 per-shard pool lifecycle audit."""
 
+import os
+import subprocess
+import sys
 from collections import defaultdict
+from pathlib import Path
 from struct import pack, unpack_from
 
 import pytest
 
+import repro
 from repro.netsim import (
     Packet,
     flow_hash_fields,
     flow_hash_of,
+    ipv6,
     make_tcp_v4,
     make_udp_v4,
     make_udp_v6,
@@ -85,9 +91,35 @@ class TestFlowHash:
 
     def test_stable_across_runs(self):
         # No salted hash() anywhere: the value is a pure function of the
-        # five-tuple, pinned here so a steering change cannot slip in as
-        # an implementation detail.
-        assert flow_hash_fields(4, 1, 2, 3, 4, 17) == 0xBFCB2FA6B8563FCF
+        # five-tuple, pinned here (both address families) so a steering
+        # change cannot slip in as an implementation detail.
+        assert flow_hash_fields(4, 1, 2, 3, 4, 17) == 0x6CEC1E4937D5CFC6
+        assert flow_hash_fields(
+            6, ipv6("2001:db8::1"), ipv6("2001:db8::2"), 3, 4, 17
+        ) == 0xAC93C0B0B79388C3
+
+    def test_stable_across_hash_seeds(self):
+        # Two interpreters with different string-hash salts agree with
+        # each other and with this one, for both address families.
+        tuples = [
+            (4, 0x0A000001, 0x0A090909, 1234, 80, 6),
+            (6, ipv6("2001:db8::a"), ipv6("2001:db8::b"), 7, 9, 17),
+        ]
+        script = (
+            "from repro.netsim import flow_hash_fields\n"
+            f"for fields in {tuples!r}: print(flow_hash_fields(*fields))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        outputs = []
+        for seed in ("0", "4242"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            result = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.append(result.stdout.split())
+        local = [str(flow_hash_fields(*fields)) for fields in tuples]
+        assert outputs == [local, local]
 
     def test_transportless_packet_hashes_with_zero_ports(self):
         icmp = Packet(
@@ -96,19 +128,25 @@ class TestFlowHash:
         icmp.net.protocol = PROTO_ICMP
         assert flow_hash_of(icmp.to_bytes()) == flow_hash_of(icmp)
 
-    def test_low_bits_avalanche(self):
-        # RSS takes hash % shards with power-of-two shard counts; plain
-        # FNV-1a's low bit is the XOR of input low bits, which collapses
-        # traces whose per-flow low bits cancel.  The finaliser must
-        # spread this worst-case family over both halves.
-        buckets = {
-            make_udp_v4(
+    @pytest.mark.parametrize("family", ["v4", "v6"])
+    @pytest.mark.parametrize("shards", [2, 4, 8])
+    def test_low_bits_avalanche(self, family, shards):
+        # RSS takes hash % shards with power-of-two shard counts; a
+        # linear hash's (CRC's, FNV-1a's) low bits are XOR combinations
+        # of input bits, which collapses traces whose per-flow low bits
+        # cancel.  The finaliser must spread this worst-case family (the
+        # same counter in a source address and the source port) over
+        # every bucket.
+        make = {
+            "v4": lambda i: make_udp_v4(
                 f"10.0.0.{1 + (i % 200)}", "10.9.9.9", sport=1000 + i
-            ).flow_hash()
-            % 2
-            for i in range(64)
-        }
-        assert buckets == {0, 1}
+            ),
+            "v6": lambda i: make_udp_v6(
+                f"2001:db8::{1 + (i % 200):x}", "2001:db8::99", sport=1000 + i
+            ),
+        }[family]
+        buckets = {make(i).flow_hash() % shards for i in range(64)}
+        assert buckets == set(range(shards))
 
     def test_malformed_frames_rejected(self):
         with pytest.raises(PacketError):
@@ -380,6 +418,38 @@ class TestShardedDatapath:
         assert sum(len(v) for v in recorder.logs.values()) == 2
         assert shard_pool_audit(pools)["balanced"]
         datapath.shutdown()
+
+    def test_steer_batch_matches_per_frame_steer(self):
+        # The batched loop is the per-frame steer, frame for frame:
+        # identical counters (accepted, refused on pool exhaustion,
+        # malformed) and identical ring contents, in order.
+        flows = [(f"10.7.{i}.1", 2000 + 13 * i) for i in range(6)]
+        frames = [seq_frame(flow, seq) for seq in range(4) for flow in flows]
+        for at, junk in ((0, b""), (5, b"\x00\x01"), (11, b"\x45" + bytes(10)),
+                         (17, b"\x15" + bytes(40))):
+            frames.insert(at, junk)
+        runs = []
+        for batched in (True, False):
+            pools = carve_shard_pools(256, 16, 2, exhaustion_policy="drop-newest")
+            datapath = build(2, pools, Recorder(), supervise=False)
+            if batched:
+                accepted = datapath.steer_batch(frames)
+            else:
+                accepted = sum(datapath.steer(f) is not None for f in frames)
+            rings = []
+            for shard in datapath.shards:
+                batch = shard.take_batch(1024)
+                rings.append([frame.to_bytes() for frame in batch])
+                for frame in batch:
+                    release_dropped(frame)
+            steering = datapath.steering
+            runs.append((accepted, list(steering.steered), list(steering.refused),
+                         steering.malformed, rings))
+            datapath.shutdown()
+        batched_run, per_frame_run = runs
+        assert batched_run == per_frame_run
+        assert batched_run[3] == 4
+        assert sum(batched_run[2]) > 0  # the 8-buffer slices refused some
 
     def test_explicit_steal_watermark_requires_the_supervisor(self):
         pools = carve_shard_pools(256, 8, 1, exhaustion_policy="drop-newest")
@@ -790,6 +860,39 @@ class TestShardRecovery:
         assert shard_pool_audit(pools)["balanced"]
         datapath.shutdown()
 
+    def test_failed_rollback_accounts_for_every_parked_frame(self):
+        # The abort-side twin: a raise-policy pool exhausting while an
+        # aborted recovery puts its parked frames back must not raise
+        # part-way and strand the rest — every parked frame is re-queued
+        # on its own ring or counted refused.
+        shards = 2
+        pools = carve_shard_pools(256, 16, shards, exhaustion_policy="raise")
+        recorder = Recorder()
+        datapath = build(shards, pools, recorder)
+        actions = datapath.swap_action_set()
+        params = {"shard": 0}
+        assert actions["quiesce"](params)
+        flows = flows_on_shard(0, shards, count=3)
+        frames = [seq_frame(flow, seq) for seq in range(10) for flow in flows]
+        assert datapath.steer_batch(frames) == len(frames)
+        parked = datapath.parked_count()
+        assert parked == 30
+        actions["rollback"](params)
+        actions["resume"](params)
+        requeued = datapath.total_backlog()
+        refused = datapath.stats()["rollback_refused"]
+        assert datapath.parked_count() == 0
+        assert requeued == pools[0].count == 8
+        assert requeued + refused == parked
+        assert datapath.recoveries == []
+        datapath.pump()
+        observed = per_flow_seqs(recorder)
+        assert sum(len(seqs) for seqs in observed.values()) == requeued
+        for seqs in observed.values():
+            assert seqs == list(range(len(seqs)))
+        assert shard_pool_audit(pools)["balanced"]
+        datapath.shutdown()
+
     def test_recovery_refused_during_a_resize_is_retried(self):
         # A worker dying while a resize holds the round slot is reported
         # once the slot frees, so the dead shard still loses its buckets.
@@ -1113,6 +1216,35 @@ class TestElasticResize:
         datapath.shards[0].pool.release(held)
         record = datapath.resize(4)
         assert record["pool_handoff"]["balanced"]
+        datapath.shutdown()
+
+    def test_failed_apply_surfaces_through_a_refusing_rollback(self):
+        # Apply aborts (a held buffer blocks the re-carve) and the
+        # rollback's ring refusals are counted, not raised: the caller
+        # sees the apply error and every parked frame is accounted for.
+        pools = carve_shard_pools(256, 16, 2, exhaustion_policy="raise")
+        recorder = Recorder()
+        datapath = build_elastic(2, pools, recorder, buckets=8)
+        actions = datapath.swap_action_set()
+        params = {"shards": 4}
+        assert actions["quiesce"](params)
+        flows = [(f"10.5.{i}.2", 5000 + 9 * i) for i in range(6)]
+        frames = [seq_frame(flow, seq) for seq in range(5) for flow in flows]
+        assert datapath.steer_batch(frames) == len(frames)
+        held = pools[0].acquire(16)
+        with pytest.raises(ShardingError, match="aborted"):
+            actions["apply"](params)
+        actions["rollback"](params)
+        actions["resume"](params)
+        requeued = datapath.total_backlog()
+        assert datapath.parked_count() == 0
+        assert requeued + datapath.stats()["rollback_refused"] == len(frames)
+        assert datapath.stats()["rollback_refused"] > 0
+        assert len(datapath.shards) == 2
+        pools[0].release(held)
+        datapath.pump()
+        assert sum(len(seqs) for seqs in per_flow_seqs(recorder).values()) == requeued
+        assert shard_pool_audit(pools)["balanced"]
         datapath.shutdown()
 
     @pytest.mark.allow_pool_leak

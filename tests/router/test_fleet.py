@@ -6,7 +6,8 @@ from struct import pack
 
 import pytest
 
-from repro.netsim import make_udp_v4
+import repro.netsim.wire as wire
+from repro.netsim import WirePacket, make_udp_v4
 from repro.netsim.wire import flow_hash_of
 from repro.osbase.buffers import release_dropped
 from repro.osbase.clock import VirtualClock
@@ -282,3 +283,42 @@ class TestStagedRollout:
         for flow in FLOWS[:4]:
             assert fleet.ingest(frame_for(flow)) is True
         fleet.pump()
+
+
+@pytest.fixture
+def hash_count(monkeypatch):
+    """Counts steering-hash computations (not carried-value reads)."""
+    calls = [0]
+    compute = wire.flow_hash_fields
+
+    def counted(*fields):
+        calls[0] += 1
+        return compute(*fields)
+
+    monkeypatch.setattr(wire, "flow_hash_fields", counted)
+    return calls
+
+
+class TestOneHashPerFrame:
+    """The flow hash is computed once per frame and carried on it: the
+    edge's ring lookup computes it, the capsule's bucket table reads it."""
+
+    def test_fleet_hashes_each_forwarded_frame_once_at_the_edge(self, hash_count):
+        fleet, recorder = make_fleet(2)
+        frames = [frame_for(flow, seq) for seq in range(3) for flow in FLOWS]
+        for frame in frames:
+            assert fleet.ingest(frame) is True
+        assert hash_count[0] == len(frames)
+        fleet.pump()
+        assert len(recorder.frames) == len(frames)
+        assert hash_count[0] == len(frames)
+
+    def test_single_box_hashes_each_wire_packet_once(self, hash_count):
+        datapath = plain_datapath("box", "v1")
+        frames = [WirePacket.from_wire(frame_for(flow, seq))
+                  for seq in range(3) for flow in FLOWS]
+        assert datapath.steer_batch(frames) == len(frames)
+        datapath.pump()
+        assert hash_count[0] == len(frames)
+        assert sum(row["steered"] for row in datapath.stats()["shards"]) == len(frames)
+        datapath.shutdown()
