@@ -29,9 +29,6 @@ from repro.opencom.compile import (
     CompilationPlan,
     CompileError,
     CompiledBatchCall,
-    CompiledPullBatchCall,
-    SourceContext,
-    compile_pull,
     compile_push_chain,
 )
 from repro.opencom.fusion import FusionPlan, fuse_component, fuse_pipeline
@@ -85,7 +82,6 @@ __all__ = [
     "CompilationPlan",
     "CompileError",
     "CompiledBatchCall",
-    "CompiledPullBatchCall",
     "Component",
     "ComponentRegistry",
     "ConstraintViolation",
@@ -121,11 +117,9 @@ __all__ = [
     "ResourceMetaModel",
     "ResourcePool",
     "RuleViolation",
-    "SourceContext",
     "Task",
     "VTable",
     "bind_across",
-    "compile_pull",
     "compile_push_chain",
     "describe_component",
     "describe_interface",

@@ -33,8 +33,9 @@ class FusionPlan:
 
     fused_ports: list[Port] = field(default_factory=list)
     skipped: list[tuple[Port, str]] = field(default_factory=list)
-    #: Compiled chains (:class:`repro.opencom.compile.CompilationPlan`)
-    #: recorded against this plan; reverted together with the ports.
+    #: Live compiled chains (:class:`repro.opencom.compile.CompilationPlan`)
+    #: recorded against this plan; reverted together with the ports.  A
+    #: chain reverted on its own (pipeline decompile/recompile) leaves.
     compiled_chains: list = field(default_factory=list)
     #: Per-vtable interceptor check, computed once per pass rather than
     #: re-iterating every method for every port that shares a target
@@ -60,8 +61,17 @@ class FusionPlan:
         return len(self.compiled_chains)
 
     def record_compiled(self, chain) -> None:
-        """Attach a compiled chain so ``revert()`` tears it down too."""
+        """Attach a compiled chain so ``revert()`` tears it down too; the
+        chain's own ``revert()`` detaches it again."""
         self.compiled_chains.append(chain)
+        chain._on_revert.append(lambda: self._forget_compiled(chain))
+
+    def _forget_compiled(self, chain) -> None:
+        chains = self.compiled_chains
+        for index, recorded in enumerate(chains):
+            if recorded is chain:
+                del chains[index]
+                return
 
     def revert(self) -> None:
         """Undo the whole pass: compiled chains, fused ports, and every
@@ -73,9 +83,8 @@ class FusionPlan:
         ``id(vtable)``-keyed cache entry that can alias a *new* vtable
         allocated at the same address, and re-report stale skips.
         """
-        for chain in self.compiled_chains:
+        for chain in list(self.compiled_chains):
             chain.revert()
-        self.compiled_chains.clear()
         for port in self.fused_ports:
             port.unfuse()
         self.fused_ports.clear()

@@ -441,7 +441,7 @@ def build_capsule_fleet(
     version: str = "v1",
     replicas: int = 96,
     fused: bool = True,
-    compiled: Any = False,
+    compiled: bool = False,
     validate_checksums: bool = True,
     tx_handler: Callable[[str, int], Any] | None = None,
     datapath_factory: Callable[[str, str], Any] | None = None,
@@ -472,6 +472,8 @@ def build_capsule_fleet(
     :class:`~repro.coordination.deployment.StagedRollout` (as
     ``fleet.rollout``).
 
+    *fused* and *compiled* (both ``bool``) pass through to each
+    capsule's :func:`~repro.router.pipeline.build_sharded_forwarding_datapath`.
     *tx_handler* is ``(capsule_name, shard_index) -> frame consumer`` —
     the fleet-aware generalisation of the single-box factory.
     *datapath_factory* (``(capsule_name, version) -> datapath``)

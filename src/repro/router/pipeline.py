@@ -86,7 +86,6 @@ class RouterPipeline:
     def compile(
         self,
         *,
-        mode: str = "closure",
         strict: bool = True,
         fusion_plan: Any = None,
     ) -> Any:
@@ -103,7 +102,7 @@ class RouterPipeline:
         try:
             plan = compile_push_chain(
                 self.entry, interface="in0", method="push",
-                mode=mode, fusion_plan=fusion_plan,
+                fusion_plan=fusion_plan,
             )
         except CompileError:
             if strict:
@@ -255,23 +254,6 @@ class RouterPipeline:
         return stats
 
 
-def _normalise_compiled(compiled: Any) -> str | None:
-    """Builder ``compiled=`` option → compile mode (or None for off).
-
-    ``True`` means closure composition; ``"source"`` selects the
-    generated-source variant (`compile()` of one merged loop).
-    """
-    if compiled is True:
-        return "closure"
-    if compiled in ("closure", "source"):
-        return compiled
-    if not compiled:
-        return None
-    raise ValueError(
-        f"compiled= must be False, True, 'closure' or 'source', got {compiled!r}"
-    )
-
-
 def build_figure3_composite(
     capsule: Capsule,
     *,
@@ -367,7 +349,7 @@ def build_forwarding_pipeline(
     clock: VirtualClock | None = None,
     queue_capacity: int = 256,
     validate_checksums: bool = True,
-    compiled: Any = False,
+    compiled: bool = False,
 ) -> RouterPipeline:
     """A flat (non-composite) IPv4 forwarding path used by the data-path
     benchmarks: recogniser → v4 processor → forwarder → per-hop sinks.
@@ -381,10 +363,10 @@ def build_forwarding_pipeline(
     :meth:`RouterPipeline.flush_tx` closes the pooled buffer lifecycle
     through the TX rings.
 
-    ``compiled`` installs the specialised per-batch chain over the
-    assembled path (``True``/"closure" for closure composition,
-    "source" for the generated-source variant); any interceptor
-    appearing in the region revokes it back to interpreted dispatch.
+    ``compiled=True`` installs the closure-composed per-batch chain over
+    the assembled path (see :meth:`RouterPipeline.compile`); any
+    interceptor appearing in the region revokes it back to interpreted
+    dispatch.
     """
     from repro.router.components.nicadapters import TransmitAdapter
 
@@ -444,9 +426,8 @@ def build_forwarding_pipeline(
         },
         tx_adapters=tx_adapters,
     )
-    mode = _normalise_compiled(compiled)
-    if mode is not None:
-        pipeline.compile(mode=mode)
+    if compiled:
+        pipeline.compile()
     return pipeline
 
 
@@ -460,7 +441,7 @@ def build_sharded_forwarding_datapath(
     rx_ring_size: int | None = None,
     tx_ring_size: int | None = None,
     fused: bool = False,
-    compiled: Any = False,
+    compiled: bool = False,
     validate_checksums: bool = True,
     tx_handler: Any = None,
     supervise: bool = True,
@@ -493,6 +474,12 @@ def build_sharded_forwarding_datapath(
     (release it when done) — how C15 records per-flow egress order.
     Returns the :class:`~repro.osbase.sharding.ShardedDatapath`; each
     shard's pipeline rides along as ``shard.engine``.
+
+    *fused* runs one fusion pass over each shard's capsule.  *compiled*
+    installs the closure-composed chain on each shard's pipeline, recorded
+    on that shard's fusion plan (when *fused*); a resize or recovery tears
+    it down on the shards it parks and rebuilds it, on the same plan, on
+    each that still owns a bucket.
 
     The datapath is built *elastic*: the per-shard assembly doubles as
     its ``shard_factory``, so ``resize(n)`` can grow the fleet with
@@ -530,8 +517,6 @@ def build_sharded_forwarding_datapath(
     tx_ring = tx_ring_size if tx_ring_size is not None else 4 * batch
     hops = sorted(set(routes.values()))
 
-    compile_mode = _normalise_compiled(compiled)
-
     def make_shard(index: int, pool: Any) -> Shard:
         capsule = Capsule(f"{name}:shard{index}")
         pipeline = build_forwarding_pipeline(
@@ -543,8 +528,8 @@ def build_sharded_forwarding_datapath(
         fusion_plan = None
         if fused:
             fusion_plan = fuse_pipeline(list(capsule.components().values()))
-        if compile_mode is not None:
-            pipeline.compile(mode=compile_mode, fusion_plan=fusion_plan)
+        if compiled:
+            pipeline.compile(fusion_plan=fusion_plan)
         handler = tx_handler(index) if tx_handler is not None else None
         return Shard(
             index,
@@ -555,12 +540,13 @@ def build_sharded_forwarding_datapath(
             engine=pipeline,
             # Reconfiguration hooks: the sharded datapath de-specialises
             # the shards a resize/recovery swap parks and rebuilds the
-            # compiled chain of each that owns a bucket once it settles.
+            # compiled chain of each that owns a bucket once it settles,
+            # recorded on the shard's own fusion plan like the first one.
             decompile=pipeline.decompile,
             recompile=(
-                None
-                if compile_mode is None
-                else (lambda p=pipeline, m=compile_mode: p.compile(mode=m, strict=False))
+                (lambda p=pipeline, f=fusion_plan: p.compile(strict=False, fusion_plan=f))
+                if compiled
+                else None
             ),
         )
 

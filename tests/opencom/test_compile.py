@@ -1,6 +1,6 @@
 """The compiled hot path: region compilation, revocation-on-reflection,
-mid-batch semantics, source generation, the fusion-plan satellites, and
-the sharding decompile/recompile hooks.
+mid-batch semantics, the Figure-3 composite, the fusion-plan satellites,
+and the sharding decompile/recompile hooks.
 
 The *equivalence* invariant (compiled chain is observationally identical
 to interpreted, under randomised traces and reconfiguration schedules)
@@ -16,7 +16,6 @@ from repro.opencom import (
     CallCounter,
     Capsule,
     CompileError,
-    compile_pull,
     compile_push_chain,
     fuse_component,
     fuse_pipeline,
@@ -30,13 +29,10 @@ from repro.router import (
     build_sharded_forwarding_datapath,
 )
 from repro.router.components.meters import CollectorSink
-from repro.router.components.queues import FifoQueue
 
 from tests.conftest import Caller, Echoer
 
 ROUTES = {"10.0.0.0/8": "east", "10.128.0.0/9": "west", "0.0.0.0/0": "north"}
-
-MODES = ("closure", "source")
 
 
 def make_trace(count=48):
@@ -85,30 +81,20 @@ def build(capsule_name="dut", **kwargs):
 
 
 class TestCompilePushChain:
-    @pytest.mark.parametrize("mode", MODES)
-    def test_equivalent_to_interpreted(self, mode):
+    def test_equivalent_to_interpreted(self):
         _, interpreted = build("ref")
-        _, compiled = build("dut", compiled=mode)
+        _, compiled = build("dut", compiled=True)
         interpreted.push_batch(make_trace())
         compiled.push_batch(make_trace())
         assert egress(compiled) == egress(interpreted)
         assert compiled.stage_stats() == interpreted.stage_stats()
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_plan_shape(self, mode):
-        _, pipeline = build(compiled=mode)
+    def test_plan_shape(self):
+        _, pipeline = build(compiled=True)
         plan = pipeline.compiled_plan
         assert plan.active and not plan.revoked
-        assert plan.requested_mode == mode and plan.mode == mode
-        assert plan.fallback_reason is None
         assert plan.inlined_count >= 3
-        assert plan.summary().startswith(f"compiled 'push' chain [{mode}, active]")
-
-    def test_source_mode_exposes_generated_source(self):
-        _, pipeline = build(compiled="source")
-        plan = pipeline.compiled_plan
-        assert plan.source is not None
-        assert "def __compiled__(packets):" in plan.source
+        assert plan.summary().startswith("compiled 'push' chain [active]")
 
     def test_intercepted_region_refuses_to_compile(self):
         capsule, pipeline = build()
@@ -123,7 +109,7 @@ class TestCompilePushChain:
         assert not pipeline.compiled_active
 
     def test_interceptor_anywhere_in_region_revokes(self):
-        _, pipeline = build(compiled="closure")
+        _, pipeline = build(compiled=True)
         plan = pipeline.compiled_plan
         assert plan.active
         interceptor = CallCounter().attach_to(
@@ -138,19 +124,12 @@ class TestCompilePushChain:
 
     def test_revoked_handle_still_forwards(self):
         _, interpreted = build("ref")
-        _, pipeline = build("dut", compiled="source")
+        _, pipeline = build("dut", compiled=True)
         CallCounter().attach_to(pipeline.stages["ipv4"].interface("in0"))
         assert pipeline.compiled_plan.revoked
         interpreted.push_batch(make_trace())
         pipeline.push_batch(make_trace())
         assert egress(pipeline) == egress(interpreted)
-
-    def test_unknown_mode_rejected(self):
-        _, pipeline = build()
-        with pytest.raises(CompileError, match="unknown compile mode"):
-            compile_push_chain(pipeline.entry, mode="jit")
-        with pytest.raises(ValueError, match="compiled="):
-            build_forwarding_pipeline(Capsule("bad"), routes=ROUTES, compiled="jit")
 
 
 class TestMidBatchRevocation:
@@ -171,13 +150,12 @@ class TestMidBatchRevocation:
             if callback is not None:
                 callback()
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_in_flight_batch_finishes_specialised(self, mode):
+    def test_in_flight_batch_finishes_specialised(self):
         capsule = Capsule("dut")
         trigger = capsule.instantiate(self.TriggerSink, "trigger-east")
         pipeline = build_forwarding_pipeline(
             capsule, routes=ROUTES, next_hop_sinks={"east": trigger},
-            compiled=mode,
+            compiled=True,
         )
         plan = pipeline.compiled_plan
         counter = CallCounter()
@@ -210,38 +188,36 @@ class TestMidBatchRevocation:
         assert pipeline.stages["sink:west"].collected_count() == 2
 
 
-class TestSourceSpine:
-    def test_figure3_spine_compiles_to_source(self):
-        # The classifier contributes a compiled_source match loop, so the
-        # whole Figure-3 spine (recogniser → v4 → classifier) merges into
-        # one generated kernel — and the plan summary records the mode.
-        capsule = Capsule("gw")
-        _, pipeline = build_figure3_composite(capsule)
-        plan = pipeline.compile(mode="source")
-        assert plan.requested_mode == "source"
-        assert plan.mode == "source"
-        assert plan.fallback_reason is None
-        assert plan.source is not None
-        assert ".table.classify" in plan.source
-        assert "source" in plan.summary()
-        # The generated chain still classifies: one packet per class.
-        pipeline.push_batch([make_udp_v4("10.0.0.1", "10.9.9.9", dport=7)])
-        queued = sum(
-            stage.depth
-            for name, stage in pipeline.stages.items()
-            if name.startswith("queue:")
-        )
-        assert queued == 1
+class TestFigure3Closure:
+    """The Figure-3 composite compiles end to end: every push stage with
+    a kernel (recogniser, both processors, classifier, both queues)
+    composes into the chain, and the chain matches the interpreted
+    composite counter for counter."""
 
-    def test_source_spine_matches_interpreted_counters(self):
-        # Equivalence on a v4 + v6 mix: byte-path, queue depths and every
-        # counter dict (including which keys exist) must match the
-        # interpreted composite exactly.
+    INLINED = (
+        "recogniser",
+        "ipv4",
+        "ipv6",
+        "classifier",
+        "queue:expedited",
+        "queue:best-effort",
+    )
+
+    def test_every_push_stage_is_inlined(self):
+        _, pipeline = build_figure3_composite(Capsule("gw"))
+        plan = pipeline.compile()
+        inlined = {stage.name for stage in plan.stages if stage.inlined}
+        assert inlined == {pipeline.stages[name].name for name in self.INLINED}
+        assert plan.inlined_count == len(plan.stages) == len(self.INLINED)
+
+    def test_matches_interpreted_counters_and_depths(self):
+        # Equivalence on a v4 + v6 mix: queue depths and every counter
+        # dict (including which keys exist) must match the interpreted
+        # composite exactly.
         compiled_caps, reference_caps = Capsule("gw"), Capsule("gw-ref")
         _, compiled_pipe = build_figure3_composite(compiled_caps)
         _, reference_pipe = build_figure3_composite(reference_caps)
-        plan = compiled_pipe.compile(mode="source")
-        assert plan.mode == "source"
+        assert compiled_pipe.compile().active
 
         def traffic():
             return [
@@ -252,49 +228,22 @@ class TestSourceSpine:
 
         compiled_pipe.push_batch(traffic())
         reference_pipe.push_batch(traffic())
+        assert compiled_pipe.compiled_active
         for name, stage in compiled_pipe.stages.items():
             counters = getattr(stage, "counters", None)
             if counters is not None:
                 assert counters == reference_pipe.stages[name].counters, name
+        depths = {}
         for name, stage in compiled_pipe.stages.items():
             if name.startswith("queue:"):
+                depths[name] = stage.depth
                 assert stage.depth == reference_pipe.stages[name].depth
-
-
-class TestCompilePull:
-    def test_pull_chain_equivalence_and_revocation(self):
-        capsule = Capsule("dut")
-        queue = capsule.instantiate(lambda: FifoQueue(64), "q")
-        reference = capsule.instantiate(lambda: FifoQueue(64), "q-ref")
-        trace = [make_udp_v4("10.0.0.1", "10.9.9.9", dport=i) for i in range(10)]
-        queue.push_batch(trace)
-        reference.push_batch(list(trace))
-
-        plan = compile_pull(queue)
-        assert plan.active
-        got = plan.handle(4)
-        assert got == reference.pull_batch(4)
-        assert queue.stats() == reference.stats()
-
-        # Reflection on the pull interface revokes; the handle keeps
-        # draining through the interposed vtable.
-        CallCounter().attach_to(queue.interface("pull0"))
-        assert plan.revoked
-        got = plan.handle(100)
-        assert got == reference.pull_batch(100)
-        assert queue.depth == 0
-
-    def test_pull_plan_records_stage(self):
-        capsule = Capsule("dut")
-        queue = capsule.instantiate(lambda: FifoQueue(8), "q")
-        plan = compile_pull(queue)
-        assert plan.inlined_count == 1
-        assert plan.summary().startswith("compiled 'pull' chain [closure, active]")
+        assert sum(depths.values()) == 3
 
 
 class TestPipelineCompileLifecycle:
     def test_decompile_is_idempotent_and_reversible(self):
-        _, pipeline = build(compiled="closure")
+        _, pipeline = build(compiled=True)
         first = pipeline.compiled_plan
         assert pipeline.compiled_active
         pipeline.decompile()
@@ -303,7 +252,7 @@ class TestPipelineCompileLifecycle:
         pipeline.decompile()  # idempotent
         # Recompilation installs a fresh plan and the path still matches
         # the interpreted reference.
-        second = pipeline.compile(mode="source")
+        second = pipeline.compile()
         assert second is not first and pipeline.compiled_active
         _, interpreted = build("ref")
         interpreted.push_batch(make_trace())
@@ -311,9 +260,9 @@ class TestPipelineCompileLifecycle:
         assert egress(pipeline) == egress(interpreted)
 
     def test_recompile_replaces_previous_plan(self):
-        _, pipeline = build(compiled="closure")
+        _, pipeline = build(compiled=True)
         first = pipeline.compiled_plan
-        second = pipeline.compile(mode="closure")
+        second = pipeline.compile()
         assert first.revoked and second.active
         assert pipeline.compiled_plan is second
 
@@ -330,7 +279,7 @@ class TestLedgerSavings:
             make_udp_v4("10.255.0.1", f"10.{i}.0.9", dport=i) for i in range(n)
         ]
         _, interpreted = build("ref")
-        _, compiled = build("dut", compiled="source")
+        _, compiled = build("dut", compiled=True)
 
         before = DATAPATH_LEDGER.snapshot()
         interpreted.push_batch(trace())
@@ -381,7 +330,7 @@ class TestFusionPlanSatellites:
 
         plan = fuse_pipeline(list(capsule.components().values()))
         assert plan.fused_count > 0 and plan.skipped
-        pipeline.compile(mode="closure", fusion_plan=plan)
+        pipeline.compile(fusion_plan=plan)
         assert plan.compiled_count == 1
 
         summary = plan.summary()
@@ -396,11 +345,28 @@ class TestFusionPlanSatellites:
         capsule = Capsule("dut")
         pipeline = build_forwarding_pipeline(capsule, routes=ROUTES)
         plan = fuse_pipeline(list(capsule.components().values()))
-        compiled = pipeline.compile(mode="closure", fusion_plan=plan)
+        compiled = pipeline.compile(fusion_plan=plan)
         assert compiled.active
         plan.revert()
         assert compiled.revoked
         assert plan.compiled_count == 0
+
+    def test_reverted_chain_leaves_its_fusion_plan(self):
+        # Recompiling reverts the previous chain and decompiling reverts
+        # the last: the plan must stop counting each as it goes, so it
+        # only ever reports chains that are still installed.
+        capsule = Capsule("dut")
+        pipeline = build_forwarding_pipeline(capsule, routes=ROUTES)
+        plan = fuse_pipeline(list(capsule.components().values()))
+        pipeline.compile(fusion_plan=plan)
+        second = pipeline.compile(fusion_plan=plan)
+        assert plan.compiled_chains == [second]
+        assert "compiled 1 chain(s)" in plan.summary()
+        pipeline.decompile()
+        assert plan.compiled_chains == []
+        assert plan.compiled_count == 0
+        assert "compiled" not in plan.summary()
+        assert fusion_report(plan)["compiled"] == 0
 
 
 def manager():
@@ -411,7 +377,7 @@ class TestShardingHooks:
     """Reconfiguration rounds de-specialise the fleet and rebuild on
     commit/rollback (the per-shard decompile/recompile hooks)."""
 
-    def _datapath(self, shards=2, *, compiled="source", buckets=8):
+    def _datapath(self, shards=2, *, compiled=True, buckets=8, fused=False):
         pools = carve_shard_pools(256, 64 * shards, shards)
         return build_sharded_forwarding_datapath(
             routes=ROUTES,
@@ -419,6 +385,7 @@ class TestShardingHooks:
             threads=manager(),
             pools=pools,
             batch=4,
+            fused=fused,
             compiled=compiled,
             buckets=buckets,
         )
@@ -427,7 +394,6 @@ class TestShardingHooks:
         datapath = self._datapath()
         for shard in datapath.shards:
             assert shard.engine.compiled_active
-            assert shard.engine.compiled_plan.mode == "source"
         datapath.shutdown()
 
     def test_resize_decompiles_then_recompiles_the_fleet(self):
@@ -440,6 +406,30 @@ class TestShardingHooks:
         for shard in datapath.shards:
             assert shard.engine.compiled_active
             assert shard.engine.compiled_plan not in old_plans
+        datapath.shutdown()
+
+    def test_resize_records_rebuilt_chains_on_each_shard_fusion_plan(
+        self, monkeypatch
+    ):
+        # Capture each shard's fusion plan as the builder makes it (in
+        # shard order: the two initial shards, then the grown one).
+        import repro.opencom.fusion as fusion
+
+        plans = []
+
+        def recording_fuse_pipeline(components):
+            plans.append(fuse_pipeline(components))
+            return plans[-1]
+
+        monkeypatch.setattr(fusion, "fuse_pipeline", recording_fuse_pipeline)
+        datapath = self._datapath(shards=2, fused=True)
+        datapath.resize(3)
+        assert len(plans) == len(datapath.shards) == 3
+        for shard, plan in zip(datapath.shards, plans):
+            live = shard.engine.compiled_plan
+            expected = [live] if shard.engine.compiled_active else []
+            assert plan.compiled_chains == expected, shard.shard_id
+            assert plan.compiled_count == len(expected)
         datapath.shutdown()
 
     def test_resize_rollback_recompiles(self):

@@ -41,8 +41,11 @@ from repro.osbase import (
     release_dropped,
 )
 from repro.osbase.memory import DATAPATH_LEDGER
-from repro.router import build_forwarding_pipeline, build_sharded_forwarding_datapath
-from repro.router.components.queues import FifoQueue
+from repro.router import (
+    build_figure3_composite,
+    build_forwarding_pipeline,
+    build_sharded_forwarding_datapath,
+)
 
 pytestmark = pytest.mark.slow
 
@@ -89,11 +92,10 @@ EVENTS = (
     "none",
     "intercept-recogniser",
     "intercept-ipv4",
-    "intercept-forwarder",
+    "intercept-tail",
     "detach",
     "decompile",
-    "recompile-closure",
-    "recompile-source",
+    "recompile",
 )
 stream = st.lists(
     st.tuples(
@@ -104,17 +106,48 @@ stream = st.lists(
     max_size=6,
 )
 
-STAGE_OF = {
-    "intercept-recogniser": "recogniser",
-    "intercept-ipv4": "ipv4",
-    "intercept-forwarder": "forwarder",
-}
+#: Pipeline shapes under test: the flat forwarding path (recogniser → v4
+#: → forwarder → per-hop sinks) and the Figure-3 composite (recogniser →
+#: v4/v6 → classifier → per-class queues), each with the stage its
+#: ``intercept-tail`` event lands on.
+SHAPES = ("flat", "figure3")
+TAIL = {"flat": "forwarder", "figure3": "classifier"}
+STAGE_OF = {"intercept-recogniser": "recogniser", "intercept-ipv4": "ipv4"}
+#: Figure-3 queues are small enough that streams regularly overflow them.
+QUEUE_CAPACITY = 4
+
+
+def build_shape(name, shape, *, validate, with_default, compiled=False):
+    """One pipeline of *shape*; *with_default* gives the flat path a
+    default route and the composite's classifier a default class."""
+    if shape == "flat":
+        routes = DEFAULTED if with_default else ROUTED
+        return build_forwarding_pipeline(
+            Capsule(name), routes=routes,
+            validate_checksums=validate, compiled=compiled,
+        )
+    _, pipeline = build_figure3_composite(
+        Capsule(name), queue_capacity=QUEUE_CAPACITY
+    )
+    pipeline.stages["ipv4"].validate_checksum = validate
+    classifier = pipeline.stages["classifier"]
+    classifier.register_filter("dport=0-29 -> expedited")
+    if not with_default:
+        classifier.default_output = None
+    if compiled:
+        pipeline.compile()
+    return pipeline
 
 
 def egress(pipeline):
+    """Per-sink and per-queue contents, byte for byte."""
     out = {}
-    for name, sink in pipeline.stages.items():
-        if not name.startswith("sink:"):
+    for name, stage in pipeline.stages.items():
+        if name.startswith("sink:"):
+            held = stage.packets
+        elif name.startswith("queue:"):
+            held = stage._queue
+        else:
             continue
         out[name] = [
             (
@@ -127,7 +160,7 @@ def egress(pipeline):
                 p.payload,
                 dict(p.metadata),
             )
-            for p in sink.packets
+            for p in held
         ]
     return out
 
@@ -136,19 +169,15 @@ class TestPushChainDifferential:
     @_SETTINGS
     @given(
         batches=stream,
-        mode=st.sampled_from(["closure", "source"]),
+        shape=st.sampled_from(SHAPES),
         validate=st.booleans(),
         with_default=st.booleans(),
     )
-    def test_compiled_equals_interpreted(self, batches, mode, validate, with_default):
-        routes = DEFAULTED if with_default else ROUTED
-        dut = build_forwarding_pipeline(
-            Capsule("dut"), routes=routes,
-            validate_checksums=validate, compiled=mode,
-        )
-        oracle = build_forwarding_pipeline(
-            Capsule("oracle"), routes=routes, validate_checksums=validate
-        )
+    def test_compiled_equals_interpreted(self, batches, shape, validate, with_default):
+        config = dict(validate=validate, with_default=with_default)
+        dut = build_shape("dut", shape, compiled=True, **config)
+        oracle = build_shape("oracle", shape, **config)
+        assert dut.compiled_active
         interceptors = []
         dut_copies = oracle_copies = 0
         for specs, event in batches:
@@ -159,12 +188,18 @@ class TestPushChainDifferential:
             oracle.push_batch([build_packet(s) for s in specs])
             oracle_copies += DATAPATH_LEDGER.delta(before)["copies"]
 
-            stage = STAGE_OF.get(event)
+            stage = TAIL[shape] if event == "intercept-tail" else STAGE_OF.get(event)
             if stage is not None:
+                # The oracle takes the same interceptor: an intercepted
+                # slot dispatches per packet, which interleaves v4 and v6
+                # arrivals at a shared queue unlike batch dispatch.
                 plan = dut.compiled_plan
-                interceptors.append(
-                    CallCounter().attach_to(dut.stages[stage].interface("in0"))
-                )
+                for pipeline in (dut, oracle):
+                    interceptors.append(
+                        CallCounter().attach_to(
+                            pipeline.stages[stage].interface("in0")
+                        )
+                    )
                 # Reflection anywhere in the region revokes: the next
                 # batch lands interpreted.
                 if plan is not None:
@@ -177,11 +212,11 @@ class TestPushChainDifferential:
             elif event == "decompile":
                 dut.decompile()
                 assert not dut.compiled_active
-            elif event.startswith("recompile-"):
+            elif event == "recompile":
                 # Rebuilding over a still-intercepted region must refuse
                 # (strict=False: stays interpreted), and succeed again
                 # once the region is clean.
-                plan = dut.compile(mode=event.split("-", 1)[1], strict=False)
+                plan = dut.compile(strict=False)
                 if interceptors:
                     assert plan is None and not dut.compiled_active
                 else:
@@ -192,54 +227,6 @@ class TestPushChainDifferential:
         # The only permitted ledger divergence: the specialised kernel
         # materialises fewer headers, never more.
         assert dut_copies <= oracle_copies
-
-
-class TestPullDifferential:
-    @_SETTINGS
-    @given(
-        ops=st.lists(
-            st.one_of(
-                st.tuples(st.just("push"), st.integers(min_value=0, max_value=6)),
-                st.tuples(st.just("pull"), st.integers(min_value=0, max_value=8)),
-                st.tuples(st.just("intercept"), st.just(0)),
-            ),
-            min_size=1,
-            max_size=12,
-        ),
-        capacity=st.integers(min_value=1, max_value=8),
-    )
-    def test_compiled_pull_equals_interpreted(self, ops, capacity):
-        from repro.opencom import compile_pull
-
-        capsule = Capsule("dut")
-        queue = capsule.instantiate(lambda: FifoQueue(capacity), "q")
-        reference = capsule.instantiate(lambda: FifoQueue(capacity), "q-ref")
-        plan = compile_pull(queue)
-        serial = 0
-        for kind, arg in ops:
-            if kind == "push":
-                batch = [
-                    make_udp_v4("10.0.0.1", "10.9.9.9", dport=serial + i)
-                    for i in range(arg)
-                ]
-                serial += arg
-                twin = [
-                    make_udp_v4("10.0.0.1", "10.9.9.9", dport=p.transport.dport)
-                    for p in batch
-                ]
-                queue.push_batch(batch)
-                reference.push_batch(twin)
-            elif kind == "pull":
-                got = plan.handle(arg)
-                expected = reference.pull_batch(arg)
-                assert [p.transport.dport for p in got] == [
-                    p.transport.dport for p in expected
-                ]
-            else:
-                CallCounter().attach_to(queue.interface("pull0"))
-                assert plan.revoked
-        assert queue.stats() == reference.stats()
-        assert queue.depth == reference.depth
 
 
 # -- sharded differential: live resizes against an uncompiled oracle --------
@@ -301,9 +288,9 @@ shard_steps = st.lists(
 
 class TestShardedDifferential:
     @_SETTINGS
-    @given(schedule=shard_steps, mode=st.sampled_from(["closure", "source"]))
-    def test_compiled_fleet_matches_interpreted_fleet(self, schedule, mode):
-        dut, dut_rec, dut_pools = build_sharded(2, compiled=mode)
+    @given(schedule=shard_steps)
+    def test_compiled_fleet_matches_interpreted_fleet(self, schedule):
+        dut, dut_rec, dut_pools = build_sharded(2, compiled=True)
         oracle, oracle_rec, oracle_pools = build_sharded(2, compiled=False)
         seq = dict.fromkeys(FLOWS, 0)
         emitted = 0
