@@ -254,6 +254,14 @@ class RouterPipeline:
         return stats
 
 
+def _require_bool_compiled(compiled: Any) -> None:
+    """Builders take ``compiled=`` as a plain ``bool``: anything else
+    (such as a compile-mode string) is refused rather than read as
+    truthy."""
+    if compiled is not True and compiled is not False:
+        raise ValueError(f"compiled= must be False or True, got {compiled!r}")
+
+
 def build_figure3_composite(
     capsule: Capsule,
     *,
@@ -370,6 +378,7 @@ def build_forwarding_pipeline(
     """
     from repro.router.components.nicadapters import TransmitAdapter
 
+    _require_bool_compiled(compiled)
     cf = RouterCF()
     capsule.adopt(cf, "router-cf")
     recogniser = capsule.instantiate(ProtocolRecognizer, "recogniser")
@@ -503,6 +512,7 @@ def build_sharded_forwarding_datapath(
     from repro.osbase.nic import Nic
     from repro.osbase.sharding import Shard, ShardedDatapath, ShardingError
 
+    _require_bool_compiled(compiled)
     if shards < 1:
         raise ShardingError(f"shards must be >= 1, got {shards}")
     if pools is None:

@@ -24,6 +24,7 @@ from repro.opencom.fusion import fusion_report
 from repro.osbase import RoundRobinScheduler, ThreadManagerCF, VirtualClock, carve_shard_pools
 from repro.osbase.memory import DATAPATH_LEDGER
 from repro.router import (
+    build_capsule_fleet,
     build_figure3_composite,
     build_forwarding_pipeline,
     build_sharded_forwarding_datapath,
@@ -89,6 +90,20 @@ class TestCompilePushChain:
         assert egress(compiled) == egress(interpreted)
         assert compiled.stage_stats() == interpreted.stage_stats()
 
+    def test_equivalent_to_interpreted_over_fused_capsule(self):
+        # Compiling a fused capsule composes the same kernels: the chain
+        # still matches the unfused interpreted path exactly.
+        _, interpreted = build("ref")
+        capsule, compiled = build("dut")
+        fusion = fuse_pipeline(list(capsule.components().values()))
+        assert fusion.fused_count > 0
+        assert compiled.compile(fusion_plan=fusion).active
+        interpreted.push_batch(make_trace())
+        compiled.push_batch(make_trace())
+        assert compiled.compiled_active
+        assert egress(compiled) == egress(interpreted)
+        assert compiled.stage_stats() == interpreted.stage_stats()
+
     def test_plan_shape(self):
         _, pipeline = build(compiled=True)
         plan = pipeline.compiled_plan
@@ -130,6 +145,25 @@ class TestCompilePushChain:
         interpreted.push_batch(make_trace())
         pipeline.push_batch(make_trace())
         assert egress(pipeline) == egress(interpreted)
+
+    @pytest.mark.parametrize("builder", ("pipeline", "sharded", "fleet"))
+    def test_unknown_mode_rejected(self, builder):
+        # compiled= is a bool: a compile-mode name, or anything else that
+        # is merely truthy, is refused rather than read as "compile".
+        make = {
+            "pipeline": lambda compiled: build_forwarding_pipeline(
+                Capsule("bad"), routes=ROUTES, compiled=compiled
+            ),
+            "sharded": lambda compiled: build_sharded_forwarding_datapath(
+                routes=ROUTES, shards=1, threads=manager(), compiled=compiled
+            ),
+            "fleet": lambda compiled: build_capsule_fleet(
+                1, routes=ROUTES, compiled=compiled
+            ),
+        }[builder]
+        for compiled in ("closure", "source", "jit", 1):
+            with pytest.raises(ValueError, match="compiled="):
+                make(compiled)
 
 
 class TestMidBatchRevocation:
@@ -239,6 +273,90 @@ class TestFigure3Closure:
                 depths[name] = stage.depth
                 assert stage.depth == reference_pipe.stages[name].depth
         assert sum(depths.values()) == 3
+
+    @staticmethod
+    def _classified_pair():
+        """A compiled composite and its interpreted twin, both sending
+        dports 0-29 to the expedited queue."""
+        pipelines = []
+        for name in ("gw", "gw-ref"):
+            _, pipeline = build_figure3_composite(Capsule(name))
+            pipeline.stages["classifier"].register_filter("dport=0-29 -> expedited")
+            pipelines.append(pipeline)
+        assert pipelines[0].compile().active
+        return pipelines
+
+    @staticmethod
+    def _mixed_traffic():
+        return [
+            make_udp_v4("10.0.0.1", "10.9.9.9", dport=3 * i) for i in range(20)
+        ] + [
+            make_udp_v6("2001:db8::1", "2001:db8::9", dport=7 * i) for i in range(5)
+        ]
+
+    def test_pull_side_drains_like_interpreted(self):
+        # The scheduler drains the compiled chain's queues in the same
+        # order, with the same counters, as the interpreted composite's.
+        compiled_pipe, reference_pipe = self._classified_pair()
+        compiled_pipe.push_batch(self._mixed_traffic())
+        reference_pipe.push_batch(self._mixed_traffic())
+        assert compiled_pipe.drain(budget=4) == reference_pipe.drain(budget=4) == 25
+        assert compiled_pipe.compiled_active
+
+        def delivered(pipeline):
+            return [
+                (type(p.net).__name__, p.transport.dport)
+                for p in pipeline.stages["sink"].packets
+            ]
+
+        assert delivered(compiled_pipe) == delivered(reference_pipe)
+        for name, stage in compiled_pipe.stages.items():
+            counters = getattr(stage, "counters", None)
+            if counters is not None:
+                assert counters == reference_pipe.stages[name].counters, name
+            if name.startswith("queue:"):
+                assert stage.depth == 0
+
+    def test_pull_interception_leaves_push_chain_compiled(self):
+        # Reflection on a queue's service side is outside the push
+        # region: the chain stays compiled, and the interceptor sees
+        # every packet the scheduler draws from that queue, in order.
+        pipeline, _ = self._classified_pair()
+        plan = pipeline.compiled_plan
+        queue = pipeline.stages["queue:best-effort"]
+        seen = []
+        queue.interface("pull0").vtable.add_post(
+            "pull", "audit",
+            lambda ctx: ctx.result is not None and seen.append(ctx.result),
+        )
+        assert plan.active and not plan.revoked
+        pipeline.push_batch(self._mixed_traffic())
+        assert pipeline.compiled_active
+        assert queue.depth == 10
+        assert pipeline.drain(budget=4) == 25
+        best_effort = [
+            p for p in pipeline.stages["sink"].packets if p.transport.dport >= 30
+        ]
+        assert len(best_effort) == 10
+        assert seen == best_effort
+        assert plan.active
+
+    def test_queue_arrival_interception_revokes_push_chain(self):
+        # A queue's arrival side is inside the push region: intercepting
+        # it revokes the chain, and the interpreted path that takes over
+        # delivers one call per arrival at that queue.
+        compiled_pipe, reference_pipe = self._classified_pair()
+        plan = compiled_pipe.compiled_plan
+        counter = CallCounter()
+        counter.attach_to(compiled_pipe.stages["queue:expedited"].interface("in0"))
+        assert plan.revoked and not compiled_pipe.compiled_active
+        compiled_pipe.push_batch(self._mixed_traffic())
+        reference_pipe.push_batch(self._mixed_traffic())
+        assert counter.total() == compiled_pipe.stages["queue:expedited"].depth == 15
+        for name, stage in compiled_pipe.stages.items():
+            counters = getattr(stage, "counters", None)
+            if counters is not None:
+                assert counters == reference_pipe.stages[name].counters, name
 
 
 class TestPipelineCompileLifecycle:

@@ -140,10 +140,11 @@ def build_shape(name, shape, *, validate, with_default, compiled=False):
 
 
 def egress(pipeline):
-    """Per-sink and per-queue contents, byte for byte."""
+    """Per-sink (the composite's forward sink included) and per-queue
+    contents, byte for byte."""
     out = {}
     for name, stage in pipeline.stages.items():
-        if name.startswith("sink:"):
+        if name == "sink" or name.startswith("sink:"):
             held = stage.packets
         elif name.startswith("queue:"):
             held = stage._queue
@@ -227,6 +228,50 @@ class TestPushChainDifferential:
         # The only permitted ledger divergence: the specialised kernel
         # materialises fewer headers, never more.
         assert dut_copies <= oracle_copies
+
+
+#: Steps on the service side of the Figure-3 composite: a batch pushed
+#: through the (compiled) chain, a scheduler round of some budget, or an
+#: interceptor on one queue's pull interface.
+pull_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.lists(packet_specs, max_size=8)),
+        st.tuples(st.just("service"), st.integers(min_value=0, max_value=8)),
+        st.tuples(
+            st.just("intercept-pull"), st.sampled_from(("expedited", "best-effort"))
+        ),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestPullDifferential:
+    @_SETTINGS
+    @given(steps=pull_steps, validate=st.booleans(), with_default=st.booleans())
+    def test_compiled_composite_drains_like_interpreted(
+        self, steps, validate, with_default
+    ):
+        # The compiled chain fills the queues; the scheduler drains them.
+        # Whatever the interleaving of pushes, service rounds and
+        # pull-side interceptors, delivery order, queue contents and
+        # every counter match the interpreted composite, and reflection
+        # on the service side never revokes the push chain.
+        config = dict(validate=validate, with_default=with_default)
+        dut = build_shape("dut", "figure3", compiled=True, **config)
+        oracle = build_shape("oracle", "figure3", **config)
+        plan = dut.compiled_plan
+        for kind, arg in steps:
+            if kind == "push":
+                dut.push_batch([build_packet(s) for s in arg])
+                oracle.push_batch([build_packet(s) for s in arg])
+            elif kind == "service":
+                assert dut.service(arg) == oracle.service(arg)
+            else:
+                CallCounter().attach_to(dut.stages[f"queue:{arg}"].interface("pull0"))
+            assert plan.active and dut.compiled_active
+            assert egress(dut) == egress(oracle)
+        assert dut.stage_stats() == oracle.stage_stats()
 
 
 # -- sharded differential: live resizes against an uncompiled oracle --------
