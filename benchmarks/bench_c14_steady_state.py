@@ -29,6 +29,10 @@ too, for every system):
   :class:`~repro.osbase.memory.CopyLedger` records every fresh backing
   store carve (``Buffer.__init__``), so any standalone-buffer fallback
   or copy-on-write escape fails the run;
+- **cyclic garbage / packet = 0**: the measured rounds run with the
+  cyclic garbage collector off, and ``gc.collect()`` afterwards finds
+  nothing — every packet, with its header views, was freed by reference
+  counting when its buffer was released;
 - **net acquires / packet = 0.00**: ``acquired_total`` and
   ``released_total`` advance in lock-step (every acquire is matched by a
   release on some drop/egress path);
@@ -77,8 +81,9 @@ def steady_measure(one_round, forwarded, pool, rx_nic):
     """Warm up one round, then measure ROUNDS of steady-state forwarding.
 
     Returns per-run lifecycle accounting: the ledger's allocation delta,
-    the pool's acquire/release deltas, and the free-list recovery check
-    inputs, plus elapsed time and packets forwarded.
+    the objects the cyclic garbage collector finds after the rounds (run
+    with it off), the pool's acquire/release deltas, and the free-list
+    recovery check inputs, plus elapsed time and packets forwarded.
     """
     one_round()  # warm-up: faults every pool buffer into circulation
     gc.collect()
@@ -87,15 +92,21 @@ def steady_measure(one_round, forwarded, pool, rx_nic):
     acquired_before = pool.acquired_total
     released_before = pool.released_total
     snap = DATAPATH_LEDGER.snapshot()
-    start = time.perf_counter()
-    for _ in range(ROUNDS):
-        one_round()
-    elapsed = time.perf_counter() - start
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        for _ in range(ROUNDS):
+            one_round()
+        elapsed = time.perf_counter() - start
+        cyclic = gc.collect()
+    finally:
+        gc.enable()
     stats = pool.stats()
     return {
         "elapsed": elapsed,
         "forwarded": forwarded() - base_forwarded,
         "allocations": DATAPATH_LEDGER.delta(snap)["allocations"],
+        "cyclic": cyclic,
         "acquired": pool.acquired_total - acquired_before,
         "released": pool.released_total - released_before,
         "free_before": free_before,
@@ -201,6 +212,7 @@ def sweep(runners, routes):
                 kept = results[name]
                 assert outcome["forwarded"] == kept["forwarded"], name
                 assert outcome["allocations"] == kept["allocations"], name
+                assert outcome["cyclic"] == kept["cyclic"], name
                 kept["elapsed"] = min(kept["elapsed"], outcome["elapsed"])
     return results
 
@@ -225,6 +237,7 @@ def test_c14_steady_state_lifecycle(benchmark):
                     f"{pps / 1e3:.0f}",
                     f"{base / res['elapsed']:.2f}x",
                     f"{res['allocations'] / max(res['forwarded'], 1):.2f}",
+                    f"{res['cyclic'] / max(res['forwarded'], 1):.2f}",
                     f"{(res['acquired'] - res['released']) / max(res['forwarded'], 1):.2f}",
                     f"{res['acquired'] / max(res['forwarded'], 1):.2f}",
                     res["forwarded"],
@@ -238,6 +251,7 @@ def test_c14_steady_state_lifecycle(benchmark):
                 "kpps",
                 "vs vtable",
                 "allocs/pkt",
+                "cyclic/pkt",
                 "net acq/pkt",
                 "acq/pkt",
                 "forwarded",
@@ -258,6 +272,9 @@ def test_c14_steady_state_lifecycle(benchmark):
         # the measured region would show in the ledger; there are none —
         # warm forwarding runs entirely on recycled pool buffers.
         assert res["allocations"] == 0, (name, res)
+        # Zero cyclic garbage: release ends each packet's life, so the
+        # packet and its header views die by reference counting there.
+        assert res["cyclic"] == 0, (name, res)
         # One acquire per packet at ingress, each matched by a release on
         # egress: zero net pool acquires per forwarded packet.
         assert res["acquired"] == expected, (name, res)

@@ -12,7 +12,6 @@ import heapq
 import itertools
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from repro.opencom.errors import OpenComError
 from repro.osbase.clock import VirtualClock
@@ -22,28 +21,26 @@ class EngineError(OpenComError):
     """Invalid engine operation."""
 
 
-@dataclass(order=True)
-class _Event:
-    time: float
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
 class EventHandle:
-    """Cancellation handle for a scheduled event."""
+    """A scheduled event, and the handle that cancels it.
 
-    def __init__(self, event: _Event) -> None:
-        self._event = event
+    The engine's heap orders ``(time, sequence, handle)`` tuples, so the
+    comparison runs in C and never reaches the handle (sequences are
+    unique); a cancelled handle stays in the heap and is skipped when it
+    surfaces.
+    """
+
+    __slots__ = ("time", "callback", "cancelled")
+
+    def __init__(self, time: float, callback: Callable[[], None]) -> None:
+        #: Scheduled firing time.
+        self.time = time
+        self.callback = callback
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Suppress the event if it has not fired yet."""
-        self._event.cancelled = True
-
-    @property
-    def time(self) -> float:
-        """Scheduled firing time."""
-        return self._event.time
+        self.cancelled = True
 
 
 class Engine:
@@ -51,7 +48,7 @@ class Engine:
 
     def __init__(self, clock: VirtualClock | None = None) -> None:
         self.clock = clock if clock is not None else VirtualClock()
-        self._heap: list[_Event] = []
+        self._heap: list[tuple[float, int, EventHandle]] = []
         self._sequence = itertools.count()
         self.events_processed = 0
         #: Exceptions raised by event callbacks (the engine never dies on a
@@ -75,9 +72,9 @@ class Engine:
             raise EngineError(
                 f"cannot schedule at {time}, now is {self.clock.now}"
             )
-        event = _Event(time, next(self._sequence), callback)
-        heapq.heappush(self._heap, event)
-        return EventHandle(event)
+        event = EventHandle(time, callback)
+        heapq.heappush(self._heap, (time, next(self._sequence), event))
+        return event
 
     def schedule_periodic(
         self,
@@ -128,11 +125,12 @@ class Engine:
 
     def step(self) -> bool:
         """Fire the next event; returns False when the heap is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            time, _, event = heapq.heappop(heap)
             if event.cancelled:
                 continue
-            self.clock.advance_to(max(event.time, self.clock.now))
+            self.clock.advance_to(max(time, self.clock.now))
             self.events_processed += 1
             try:
                 event.callback()
@@ -146,9 +144,9 @@ class Engine:
         returns the number of events processed."""
         processed = 0
         while processed < max_events:
-            while self._heap and self._heap[0].cancelled:
+            while self._heap and self._heap[0][2].cancelled:
                 heapq.heappop(self._heap)
-            if not self._heap or self._heap[0].time > deadline:
+            if not self._heap or self._heap[0][0] > deadline:
                 break
             self.step()
             processed += 1
@@ -165,7 +163,7 @@ class Engine:
 
     def pending(self) -> int:
         """Events scheduled and not cancelled."""
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for _, _, event in self._heap if not event.cancelled)
 
 
 class BackoffPolicy:

@@ -22,8 +22,10 @@ traffic (and how many RNG draws) preceded T.
 from __future__ import annotations
 
 import random
+from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
-
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.netsim.engine import Engine
@@ -47,7 +49,15 @@ class LinkStats:
 
 
 class _Direction:
-    """One direction of a duplex link."""
+    """One direction of a duplex link.
+
+    Frames in flight wait in one FIFO, each with one engine event firing
+    the shared :meth:`_arrive_head`, which pops the head: arrivals on a
+    direction are already in send order, because ``busy_until`` only
+    grows, ``latency_s`` is fixed, and the engine breaks equal times by
+    scheduling order.  So a frame in flight costs its FIFO slot and its
+    engine event, nothing else.
+    """
 
     def __init__(
         self,
@@ -57,6 +67,7 @@ class _Direction:
         loss_rate: float,
         max_backlog: int,
         rng: random.Random,
+        deliver: Callable[[Packet], None],
     ) -> None:
         self.engine = engine
         self.bandwidth_bps = bandwidth_bps
@@ -65,11 +76,13 @@ class _Direction:
         self.max_backlog = max_backlog
         self.rng = rng
         self.busy_until = 0.0
-        self.in_flight = 0
         self.up = True
         self.stats = LinkStats()
+        self.deliver = deliver
+        self._wire: deque[Packet] = deque()
+        self._arrive = self._arrive_head
 
-    def send(self, packet: Packet, deliver) -> bool:
+    def send(self, packet: Packet) -> bool:
         """Serialise and propagate one packet; returns False when dropped.
 
         The call consumes the packet either way: a backlog drop, a loss,
@@ -84,7 +97,7 @@ class _Direction:
             self.stats.dropped_down += 1
             release_dropped(packet)
             return True
-        if self.in_flight >= self.max_backlog:
+        if len(self._wire) >= self.max_backlog:
             self.stats.dropped_backlog += 1
             release_dropped(packet)
             return False
@@ -98,22 +111,25 @@ class _Direction:
             self.stats.lost += 1
             release_dropped(packet)
             return True  # the sender cannot tell a lost packet was lost
-        arrival = self.busy_until + self.latency_s
-        self.in_flight += 1
-
-        def arrive() -> None:
-            self.in_flight -= 1
-            if not self.up:
-                # Partition landed while the packet was in flight: it
-                # never crosses.
-                self.stats.dropped_down += 1
-                release_dropped(packet)
-                return
-            self.stats.delivered += 1
-            deliver(packet)
-
-        self.engine.schedule_at(arrival, arrive)
+        self._wire.append(packet)
+        self.engine.schedule_at(self.busy_until + self.latency_s, self._arrive)
         return True
+
+    def _arrive_head(self) -> None:
+        packet = self._wire.popleft()
+        if not self.up:
+            # Partition landed while the packet was in flight: it never
+            # crosses.
+            self.stats.dropped_down += 1
+            release_dropped(packet)
+            return
+        self.stats.delivered += 1
+        self.deliver(packet)
+
+    @property
+    def in_flight(self) -> int:
+        """Frames on the wire (sent, not yet arrived)."""
+        return len(self._wire)
 
     @property
     def utilisation_horizon(self) -> float:
@@ -146,21 +162,21 @@ class Link:
         self.endpoint_b = b
         rng_fwd, rng_rev = _direction_rngs(seed)
         self._forward = _Direction(
-            engine, bandwidth_bps, latency_s, loss_rate, max_backlog, rng_fwd
+            engine, bandwidth_bps, latency_s, loss_rate, max_backlog, rng_fwd,
+            partial(b[0].deliver, b[1]),
         )
         self._reverse = _Direction(
-            engine, bandwidth_bps, latency_s, loss_rate, max_backlog, rng_rev
+            engine, bandwidth_bps, latency_s, loss_rate, max_backlog, rng_rev,
+            partial(a[0].deliver, a[1]),
         )
 
     def send_from(self, node: "Node", packet: Packet) -> bool:
         """Send a packet from one of the two endpoints toward the other."""
         if node is self.endpoint_a[0]:
-            direction, (peer, port) = self._forward, self.endpoint_b
-        elif node is self.endpoint_b[0]:
-            direction, (peer, port) = self._reverse, self.endpoint_a
-        else:
-            raise ValueError(f"node {node.name} is not an endpoint of this link")
-        return direction.send(packet, lambda pkt: peer.deliver(port, pkt))
+            return self._forward.send(packet)
+        if node is self.endpoint_b[0]:
+            return self._reverse.send(packet)
+        raise ValueError(f"node {node.name} is not an endpoint of this link")
 
     def peer_of(self, node: "Node") -> "Node":
         """The node at the other end."""

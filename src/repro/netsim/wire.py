@@ -46,8 +46,13 @@ from repro.netsim.packet import (
     incremental_checksum_update,
     internet_checksum,
 )
+from repro.opencom.errors import ResourceError
 from repro.osbase.buffers import Buffer
 from repro.osbase.memory import DATAPATH_LEDGER as _LEDGER
+
+#: What a released packet's ``_mv`` points at: no bytes, and no hold on
+#: the recycled buffer.
+_RELEASED_VIEW = memoryview(b"")
 
 
 class V4View(IPv4Header):
@@ -781,12 +786,23 @@ class WirePacket:
             self._mv = memoryview(private._data)
 
     def release(self) -> None:
-        """Return the packet's buffer reference (to its pool, when pooled).
+        """End the packet's life: return its buffer reference (to its
+        pool, when pooled) and drop its header views.
 
-        After release the views must not be touched; the buffer may be
-        recycled to carry another packet.
+        The views point back at the packet, so dropping them breaks the
+        only reference cycle: the packet, its views, its metadata and its
+        memoryview are freed by refcount here, not by the cyclic garbage
+        collector.  After release the views must not be touched; the
+        buffer may be recycled to carry another packet.  A second release
+        raises :class:`~repro.opencom.errors.ResourceError` rather than
+        hand back a buffer that another packet may own by then.
         """
-        self._mv = memoryview(b"")
+        if self.net is None:
+            raise ResourceError(
+                f"wire packet #{self.packet_id} is already released"
+            )
+        self.net = self.transport = None
+        self._mv = _RELEASED_VIEW
         self.buffer.release_ref()
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only

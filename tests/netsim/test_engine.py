@@ -1,5 +1,7 @@
 """The discrete-event engine."""
 
+import random
+
 import pytest
 
 from repro.netsim import Engine, EngineError
@@ -54,6 +56,34 @@ class TestScheduling:
         engine.schedule(1.0, cascade)
         engine.run()
         assert log == [1.0, 2.0, 3.0]
+
+    def test_order_is_time_then_scheduling_order(self, engine):
+        rng = random.Random(7)
+        times = [rng.choice([0.5, 1.0, 1.5]) for _ in range(60)]
+        fired = []
+        for i, time in enumerate(times):
+            engine.schedule_at(time, lambda i=i: fired.append(i))
+        engine.run()
+        assert fired == sorted(range(60), key=lambda i: (times[i], i))
+
+    def test_handle_reports_its_time(self, engine):
+        assert engine.schedule(1.5, lambda: None).time == 1.5
+
+    def test_run_until_skips_a_cancelled_head(self, engine):
+        fired = []
+        engine.schedule(1.0, lambda: fired.append("cancelled")).cancel()
+        engine.schedule(1.0, lambda: fired.append("same time"))
+        engine.schedule(2.0, lambda: fired.append("later"))
+        assert engine.pending() == 2
+        assert engine.run_until(1.5) == 1
+        assert fired == ["same time"]
+        assert engine.now == 1.5
+        assert engine.pending() == 1
+        engine.schedule_at(1.75, lambda: fired.append("cancelled")).cancel()
+        assert engine.run_until(2.0) == 1
+        assert fired == ["same time", "later"]
+        assert engine.pending() == 0
+        assert engine.now == 2.0
 
     def test_run_until_stops_at_deadline(self, engine):
         fired = []

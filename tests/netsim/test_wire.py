@@ -181,6 +181,29 @@ class TestPoolAccounting:
         assert pool.in_flight == 0
         assert pool.released_total == 1
 
+    def test_release_ends_the_packets_life(self):
+        pool = BufferPool(256, 2)
+        w = wire_of(make_udp_v4("10.0.0.1", "10.0.0.2"), pool=pool)
+        w.release()
+        # The header views (which point back at the packet) are gone, so
+        # nothing keeps the packet alive in a reference cycle.
+        assert w.net is None and w.transport is None
+
+    def test_second_release_raises_and_spares_the_new_owner(self):
+        pool = BufferPool(2048, 2)
+        raw = make_udp_v4("10.0.0.1", "10.0.0.2").to_bytes()
+        a = WirePacket.ingest(raw, pool=pool)
+        a.release()
+        b = WirePacket.ingest(raw, pool=pool)
+        assert b.buffer is a.buffer  # the pool recycled a's buffer to b
+        with pytest.raises(ResourceError, match="already released"):
+            a.release()
+        assert b.buffer.refcount == 1
+        assert pool.in_flight == 1
+        assert bytes(b.wire_view()) == raw
+        b.release()
+        assert pool.acquired_total == pool.released_total == 2
+
     def test_clone_ref_shares_pooled_buffer(self):
         pool = BufferPool(256, 2)
         w = wire_of(make_udp_v4("10.0.0.1", "10.0.0.2"), pool=pool)
